@@ -293,7 +293,7 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
         }
         if (req->type == ReqType::Store)
             e.makeDirty = true;
-        e.waiters.push_back(req);
+        e.addWaiter(req);
         return;
     }
 
@@ -332,7 +332,7 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
     e.prefetchOnly = isPrefetch;
     e.makeDirty = req->type == ReqType::Store;
     e.origin = req->prefetchOrigin;
-    e.waiters.push_back(req);
+    e.addWaiter(req);
     e.demandWaiting = !isPrefetch;
     if (owner != kNoOwner) {
         e.owner = owner;
@@ -355,8 +355,7 @@ Cache::forwardMiss(Addr blockAddr)
     // carries the classification flags so lower caches can apply their
     // own translation-conscious decisions (and trigger ATP/TEMPO).
     MemRequestPtr child = makeRequest();
-    const MemRequestPtr &primary =
-        entry.waiters.empty() ? nullptr : entry.waiters.front();
+    const MemRequest *primary = entry.head.get();
     child->paddr = blockAddr;
     if (primary) {
         child->vaddr = primary->vaddr;
@@ -413,8 +412,14 @@ Cache::handleFill(Addr blockAddr, RespSource src)
             prefetcher_->onPrefetchFill(blockAddr);
     }
 
-    for (auto &w : entry.waiters)
+    // Complete in arrival order. Each waiter is unlinked before its
+    // callback runs, so the chain keeps no request alive past the fill.
+    MemRequestPtr w = std::move(entry.head);
+    while (w) {
+        MemRequestPtr next = std::move(w->nextWaiter);
         w->complete(eq_.now(), src);
+        w = std::move(next);
+    }
 
     drainPending();
 }
@@ -608,7 +613,7 @@ Cache::checkInvariants() const
         const std::uint32_t set = setIndex(addr);
         std::ostringstream ctx;
         ctx << std::hex << "mshr 0x" << addr << std::dec
-            << " waiters=" << e.waiters.size()
+            << " waiters=" << e.waiterCount
             << " demandWaiting=" << e.demandWaiting
             << " prefetchOnly=" << e.prefetchOnly
             << " makeDirty=" << e.makeDirty
@@ -618,15 +623,22 @@ Cache::checkInvariants() const
             throw InvariantViolation(who, "mshr-align", ctx.str(), set);
         if (findWay(set, addr) >= 0)
             throw InvariantViolation(who, "mshr-resident", ctx.str(), set);
-        if (e.waiters.empty())
+        if (e.waiterCount == 0 || !e.head)
             throw InvariantViolation(who, "mshr-waiters", ctx.str(), set);
 
         bool anyDemand = false;
         bool anyStore = false;
         // tacsim-lint: allow(hot-path-container) checkInvariants-only duplicate detection, never on the simulated path
         std::unordered_set<const MemRequest *> unique;
-        for (const auto &waiter : e.waiters) {
-            if (!unique.insert(waiter.get()).second)
+        // Bounded by the count, so a chain that loops back on itself
+        // is reported instead of walked forever.
+        const MemRequest *waiter = e.head.get();
+        const MemRequest *last = nullptr;
+        for (std::uint32_t i = 0; i < e.waiterCount; ++i) {
+            if (!waiter)
+                throw InvariantViolation(who, "mshr-waiters", ctx.str(),
+                                         set);
+            if (!unique.insert(waiter).second)
                 throw InvariantViolation(who, "mshr-duplicate-waiter",
                                          ctx.str(), set);
             if (waiter->blockAddr() != addr)
@@ -634,7 +646,11 @@ Cache::checkInvariants() const
                                          ctx.str(), set);
             anyDemand |= waiter->type != ReqType::Prefetch;
             anyStore |= waiter->type == ReqType::Store;
+            last = waiter;
+            waiter = waiter->nextWaiter.get();
         }
+        if (waiter || last != e.tail)
+            throw InvariantViolation(who, "mshr-waiters", ctx.str(), set);
         if (e.demandWaiting != anyDemand || e.prefetchOnly == anyDemand)
             throw InvariantViolation(who, "mshr-demand-flag", ctx.str(),
                                      set);

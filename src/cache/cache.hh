@@ -284,7 +284,12 @@ class Cache : public MemDevice, public PrefetchIssuer
   private:
     struct MshrEntry
     {
-        std::vector<MemRequestPtr> waiters;
+        /** Merged requests in arrival order: a FIFO chain through
+         *  MemRequest::nextWaiter. The entry owns the head, each waiter
+         *  its successor; handleFill unlinks them as it completes them. */
+        MemRequestPtr head;
+        MemRequest *tail = nullptr;
+        std::uint32_t waiterCount = 0;
         AccessInfo fillInfo;      ///< classification of the eventual fill
         bool demandWaiting = false;
         bool prefetchOnly = true;
@@ -293,6 +298,17 @@ class Cache : public MemDevice, public PrefetchIssuer
         /** Arbitration owner (core index); kNoOwner for unattributed
          *  traffic or when arbitration is off. */
         std::uint32_t owner = kNoOwner;
+
+        void
+        addWaiter(const MemRequestPtr &req)
+        {
+            if (tail)
+                tail->nextWaiter = req;
+            else
+                head = req;
+            tail = req.get();
+            ++waiterCount;
+        }
     };
 
     /** @p countStats is false when a request re-enters lookup after

@@ -137,7 +137,6 @@ Core::loadState(SerialReader &r)
     // bitwise-independent of pre-checkpoint history.
     for (auto &e : rob_)
         e = RobEntry{};
-    waitingOnProducer_.clear();
 }
 
 void
@@ -155,6 +154,7 @@ Core::dispatchOne()
     e.stlbMiss = false;
     e.wait = StallKind::None;
     e.producerSeq = -1;
+    e.waitHead = e.waitTail = e.nextWaiter = kNoSeq;
     e.tStall = e.rStall = e.nStall = 0;
     ++count_;
 
@@ -182,10 +182,19 @@ Core::tryIssue(std::uint64_t seq)
     RobEntry &e = entryFor(seq);
     if (e.issued)
         return;
-    if (e.producerSeq >= 0 &&
-        !entryFor(static_cast<std::uint64_t>(e.producerSeq)).complete) {
-        waitingOnProducer_.push_back(seq);
-        return;
+    if (e.producerSeq >= 0) {
+        RobEntry &p = entryFor(static_cast<std::uint64_t>(e.producerSeq));
+        if (!p.complete) {
+            // Park at the tail of the producer's chain: the producer is
+            // older, so it cannot retire (and its slot cannot be reused)
+            // before it completes and wakes this entry.
+            if (p.waitTail == kNoSeq)
+                p.waitHead = seq;
+            else
+                entryFor(p.waitTail).nextWaiter = seq;
+            p.waitTail = seq;
+            return;
+        }
     }
     issueMemOp(seq);
 }
@@ -327,21 +336,14 @@ Core::completeEntry(std::uint64_t seq)
 void
 Core::wakeDependents(std::uint64_t producerSeq)
 {
-    if (waitingOnProducer_.empty())
-        return;
-    std::vector<std::uint64_t> still;
-    still.reserve(waitingOnProducer_.size());
-    std::vector<std::uint64_t> ready;
-    for (std::uint64_t s : waitingOnProducer_) {
-        if (entryFor(s).producerSeq ==
-            static_cast<std::int64_t>(producerSeq))
-            ready.push_back(s);
-        else
-            still.push_back(s);
-    }
-    waitingOnProducer_.swap(still);
-    for (std::uint64_t s : ready)
+    RobEntry &p = entryFor(producerSeq);
+    std::uint64_t s = p.waitHead;
+    p.waitHead = p.waitTail = kNoSeq;
+    while (s != kNoSeq) {
+        const std::uint64_t next = entryFor(s).nextWaiter;
         issueMemOp(s);
+        s = next;
+    }
 }
 
 } // namespace tacsim

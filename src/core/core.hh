@@ -129,6 +129,8 @@ class Core
     void loadState(SerialReader &r);
 
   private:
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
     struct RobEntry
     {
         Addr ip = 0;
@@ -139,6 +141,11 @@ class Core
         bool stlbMiss = false;
         StallKind wait = StallKind::None;
         std::int64_t producerSeq = -1; ///< seq of producing load, -1 none
+        /** Dependents parked on this entry, a FIFO chain in dispatch
+         *  order threaded through their nextWaiter (kNoSeq = empty). */
+        std::uint64_t waitHead = kNoSeq;
+        std::uint64_t waitTail = kNoSeq;
+        std::uint64_t nextWaiter = kNoSeq; ///< next dependent on my producer
         Cycle tStall = 0;
         Cycle rStall = 0;
         Cycle nStall = 0;
@@ -181,7 +188,6 @@ class Core
     unsigned count_ = 0;
 
     std::int64_t lastLoadSeq_ = -1;
-    std::vector<std::uint64_t> waitingOnProducer_;
     bool draining_ = false; ///< dispatch suspended (System::quiesce)
 
     obs::ChromeTracer *tracer_ = nullptr; ///< null = tracing disabled

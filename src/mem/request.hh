@@ -60,7 +60,7 @@ using MemRequestPtr = std::shared_ptr<MemRequest>;
 /**
  * One memory transaction. Allocated by the requester (core or PTW) and
  * passed by shared_ptr so MSHR merging can hang several requesters off the
- * same in-flight line.
+ * same in-flight line, chained through nextWaiter.
  */
 class MemRequest
 {
@@ -107,6 +107,10 @@ class MemRequest
 
     /** Invoked exactly once when the request's data is available. */
     Callback onComplete;
+
+    /** Next request merged into the same MSHR (the cache's intrusive
+     *  FIFO waiter chain); null outside an MSHR and after the fill. */
+    MemRequestPtr nextWaiter;
 
     /** True for PTW reads of the leaf page-table level. */
     bool isLeafTranslation() const

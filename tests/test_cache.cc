@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
 #include "test_util.hh"
 
@@ -82,6 +84,38 @@ TEST_F(CacheTest, MshrMergesSameBlock)
     EXPECT_EQ(completions, 2);
     EXPECT_EQ(lower.requests.size(), 1u); // one fill for both
     EXPECT_EQ(c->stats().mshrMerges, 1u);
+}
+
+TEST_F(CacheTest, MergedWaitersCompleteInArrivalOrderAndAreReleased)
+{
+    auto c = makeCache(smallParams());
+    auto load = makeLoad(0x3000);
+    auto pf = makeLoad(0x3008);
+    pf->type = ReqType::Prefetch;
+    pf->prefetchOrigin = PrefetchOrigin::DataPrefetcher;
+    auto store = makeLoad(0x3010);
+    store->type = ReqType::Store;
+
+    std::vector<Addr> order;
+    for (MemRequestPtr *r : {&load, &pf, &store})
+        (*r)->onComplete = [&order](MemRequest &m) {
+            order.push_back(m.paddr);
+        };
+    c->access(load);
+    c->access(pf);
+    c->access(store);
+    eq.advanceTo(eq.now() + 6); // past the lookups, fill pending
+    EXPECT_EQ(c->stats().mshrMerges, 2u);
+    EXPECT_NO_THROW(c->checkInvariants());
+
+    test::drain(eq);
+    EXPECT_EQ(order, (std::vector<Addr>{0x3000, 0x3008, 0x3010}));
+    EXPECT_EQ(lower.requests.size(), 1u);
+    // No waiter chain outlives the fill or keeps a request alive.
+    for (MemRequestPtr *r : {&load, &pf, &store}) {
+        EXPECT_EQ((*r)->nextWaiter, nullptr);
+        EXPECT_EQ(r->use_count(), 1);
+    }
 }
 
 TEST_F(CacheTest, MshrSaturationQueuesDemands)

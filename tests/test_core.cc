@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <vector>
 
 #include "core/core.hh"
 #include "test_util.hh"
@@ -51,13 +52,54 @@ loadRec(Addr vaddr, bool dep = false, Addr ip = 0x400010)
 }
 
 TraceRecord
-storeRec(Addr vaddr)
+storeRec(Addr vaddr, bool dep = false)
 {
     TraceRecord t;
     t.ip = 0x400020;
     t.kind = TraceRecord::Kind::Store;
     t.vaddr = vaddr;
+    t.dependsOnPrevLoad = dep;
     return t;
+}
+
+/** Data requests (loads and stores) the memory saw, in arrival order. */
+std::vector<MemRequestPtr>
+dataRequests(const test::MockMemory &mem)
+{
+    std::vector<MemRequestPtr> out;
+    for (const auto &r : mem.requests)
+        if (r->isDemand())
+            out.push_back(r);
+    return out;
+}
+
+/** Queue a walking load at 0x5000 and four accesses to its page that
+ *  all depend on it: stores do not become the "previous load", so the
+ *  three stores and the final load each park on the same producer. */
+void
+scriptFanOut(std::deque<TraceRecord> &script)
+{
+    script.push_back(loadRec(0x5000));
+    script.push_back(storeRec(0x5040, /*dep=*/true));
+    script.push_back(storeRec(0x5080, /*dep=*/true));
+    script.push_back(storeRec(0x50c0, /*dep=*/true));
+    script.push_back(loadRec(0x5100, /*dep=*/true));
+}
+
+/** The fan-out's dependents reach memory after the producer's data
+ *  returns, and in dispatch order. */
+void
+expectFanOutInDispatchOrder(const test::MockMemory &mem)
+{
+    const auto data = dataRequests(mem);
+    ASSERT_EQ(data.size(), 5u);
+    EXPECT_EQ(data[0]->vaddr, 0x5000u);
+    const Addr order[] = {0x5040, 0x5080, 0x50c0, 0x5100};
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(data[i + 1]->vaddr, order[i]) << "dependent " << i;
+        EXPECT_GE(data[i + 1]->issuedAt, data[0]->completedAt)
+            << "dependent " << i << " issued before its producer's data";
+    }
 }
 
 struct CoreEnv
@@ -83,13 +125,15 @@ struct CoreEnv
         return Core(p, eq, wl, dtlb, stlb, ptw, mem);
     }
 
-    /** Tick the core until it retires >= n instructions (bounded). */
+    /** Tick the core from the current cycle until it retires >= n
+     *  instructions (bounded); returns the cycles ticked. */
     Cycle
     runUntil(Core &core, std::uint64_t n, Cycle maxCycles = 200000)
     {
+        const Cycle start = eq.now();
         Cycle c = 0;
         while (core.retired() < n && c < maxCycles) {
-            eq.advanceTo(c);
+            eq.advanceTo(start + c);
             core.tick();
             ++c;
         }
@@ -137,6 +181,58 @@ TEST_F(CoreTest, DependentChainSerializes)
     const Cycle tDep = env2.runUntil(dep, 17);
 
     EXPECT_GT(tDep, tIndep + 60 * 8); // at least ~8 serialized misses
+}
+
+TEST_F(CoreTest, DependentsOfOneProducerIssueInDispatchOrder)
+{
+    scriptFanOut(wl.script);
+    auto core = makeCore();
+    runUntil(core, 5);
+    EXPECT_EQ(core.stats().loads, 2u);
+    EXPECT_EQ(core.stats().stores, 3u);
+    expectFanOutInDispatchOrder(mem);
+}
+
+TEST_F(CoreTest, DependentChainSurvivesRobWrap)
+{
+    // Six non-memory ops fill ring slots 0-5 and retire, so the producer
+    // lands in slot 6 and its dependents in slots 7, 0, 1 and 2.
+    CoreParams p;
+    p.robSize = 8;
+    for (int i = 0; i < 6; ++i)
+        wl.script.push_back(TraceRecord{});
+    scriptFanOut(wl.script);
+    auto core = makeCore(p);
+    runUntil(core, 11);
+    EXPECT_EQ(core.stats().loads, 2u);
+    EXPECT_EQ(core.stats().stores, 3u);
+    expectFanOutInDispatchOrder(mem);
+}
+
+TEST_F(CoreTest, DependentOfCompletedProducerIssuesAtDispatch)
+{
+    wl.script.push_back(loadRec(0x5000));
+    auto core = makeCore();
+    core.tick(); // dispatch the load (and five non-memory ops)
+    test::drain(eq); // the load completes but has not retired
+    ASSERT_FALSE(core.robEmpty());
+
+    wl.script.push_back(storeRec(0x5040, /*dep=*/true));
+    core.tick();
+    test::drain(eq);
+    auto data = dataRequests(mem);
+    ASSERT_EQ(data.size(), 2u);
+    EXPECT_EQ(data[1]->vaddr, 0x5040u);
+
+    // A later producer's completion must not issue it a second time.
+    wl.script.push_back(loadRec(0x5080));
+    wl.script.push_back(storeRec(0x50c0, /*dep=*/true));
+    runUntil(core, 20);
+    data = dataRequests(mem);
+    ASSERT_EQ(data.size(), 4u);
+    EXPECT_EQ(data[2]->vaddr, 0x5080u);
+    EXPECT_EQ(data[3]->vaddr, 0x50c0u);
+    EXPECT_EQ(core.stats().stores, 2u);
 }
 
 TEST_F(CoreTest, StlbMissAttributedToTranslationThenReplay)

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +45,17 @@ struct GoldenPoint
     double thp2m = 0.0; ///< fraction of 2M-backed guest regions
     bool nested = false; ///< 2D guest×host translation
 };
+
+/**
+ * Print a point by its snapshot stem. Without this GoogleTest dumps the
+ * raw object bytes — a string pointer and padding — into the listed
+ * test name, which then changes from one process to the next.
+ */
+void
+PrintTo(const GoldenPoint &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 SystemConfig
 configFor(const GoldenPoint &p)

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +41,13 @@ struct MulticoreGoldenPoint
     std::uint64_t instructions;
     std::uint64_t warmup;
 };
+
+/** Print by snapshot stem so listed test names stay deterministic. */
+void
+PrintTo(const MulticoreGoldenPoint &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 /** Deterministic heterogeneous mix: cycle through the suite. */
 std::vector<Benchmark>

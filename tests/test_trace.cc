@@ -432,7 +432,8 @@ memorySource(const std::vector<unsigned char> &bytes)
     return [&bytes, pos](void *buf, std::size_t n) {
         const std::size_t left = bytes.size() - *pos;
         const std::size_t take = std::min(n, left);
-        std::memcpy(buf, bytes.data() + *pos, take);
+        if (take) // an empty input's data() may be null
+            std::memcpy(buf, bytes.data() + *pos, take);
         *pos += take;
         return take;
     };

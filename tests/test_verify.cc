@@ -166,6 +166,42 @@ TEST_F(VerifyCacheTest, MshrForResidentLineTrips)
     EXPECT_EQ(v.component(), "L1");
 }
 
+TEST_F(VerifyCacheTest, DuplicateMshrWaiterTrips)
+{
+    auto c = makeCache(smallParams());
+    auto req = makeLoad(0x3000);
+    c->access(req);
+    c->access(req); // the same request merges into its own MSHR
+    eq.advanceTo(20);
+
+    auto v = expectViolation([&] { c->checkInvariants(); });
+    EXPECT_EQ(v.invariant(), "mshr-duplicate-waiter");
+    EXPECT_EQ(v.component(), "L1");
+
+    // The fill unlinks the self-loop: nothing but this test holds it.
+    test::drain(eq);
+    EXPECT_TRUE(req->done);
+    EXPECT_EQ(req->nextWaiter, nullptr);
+    EXPECT_EQ(req.use_count(), 1);
+}
+
+TEST_F(VerifyCacheTest, MshrWaiterAddressDriftTrips)
+{
+    auto c = makeCache(smallParams());
+    auto first = makeLoad(0x3000);
+    auto second = makeLoad(0x3010);
+    c->access(first);
+    c->access(second);
+    eq.advanceTo(20);
+    EXPECT_NO_THROW(c->checkInvariants());
+
+    // The second waiter in the chain now names another block.
+    second->paddr = 0x9000;
+    auto v = expectViolation([&] { c->checkInvariants(); });
+    EXPECT_EQ(v.invariant(), "mshr-waiter-addr");
+    test::drain(eq);
+}
+
 TEST_F(VerifyCacheTest, StatsDesyncTrips)
 {
     auto c = makeCache(smallParams());
