@@ -338,46 +338,40 @@ Cache::handleMiss(const MemRequestPtr &req, const AccessInfo &ai)
         e.owner = owner;
         ++arbMshrsByCore_[owner];
     }
-    mshrs_.insert(blockAddr, std::move(e));
+    const MshrEntry &entry = mshrs_.insert(blockAddr, std::move(e));
     if (tracer_)
         tracer_->counter(track_, mshrNameId_, eq_.now(),
                          double(mshrs_.size()));
-    forwardMiss(blockAddr);
+    forwardMiss(blockAddr, entry);
 }
 
 void
-Cache::forwardMiss(Addr blockAddr)
+Cache::forwardMiss(Addr blockAddr, const MshrEntry &entry)
 {
-    const MshrEntry *entryPtr = mshrs_.find(blockAddr);
-    TACSIM_CHECK(entryPtr && "forwardMiss without MSHR");
-    const MshrEntry &entry = *entryPtr;
     // Build the child request that travels to the lower level. It
     // carries the classification flags so lower caches can apply their
     // own translation-conscious decisions (and trigger ATP/TEMPO).
     MemRequestPtr child = makeRequest();
-    const MemRequest *primary = entry.head.get();
+    const MemRequest &primary = *entry.head;
     child->paddr = blockAddr;
-    if (primary) {
-        child->vaddr = primary->vaddr;
-        child->ip = primary->ip;
-        child->type = primary->type == ReqType::Store
-            ? ReqType::Load // stores fetch ownership as reads below L1
-            : primary->type;
-        child->ptLevel = primary->ptLevel;
-        child->leafPte = primary->leafPte;
-        child->pageSize = primary->pageSize;
-        child->isReplay = primary->isReplay;
-        child->replayBlockPaddr = primary->replayBlockPaddr;
-        child->prefetchOrigin = primary->prefetchOrigin;
-        child->cpu = primary->cpu;
-    } else {
-        child->type = ReqType::Prefetch;
-    }
+    child->vaddr = primary.vaddr;
+    child->ip = primary.ip;
+    child->type = primary.type == ReqType::Store
+        ? ReqType::Load // stores fetch ownership as reads below L1
+        : primary.type;
+    child->ptLevel = primary.ptLevel;
+    child->leafPte = primary.leafPte;
+    child->pageSize = primary.pageSize;
+    child->isReplay = primary.isReplay;
+    child->replayBlockPaddr = primary.replayBlockPaddr;
+    child->prefetchOrigin = primary.prefetchOrigin;
+    child->cpu = primary.cpu;
     child->issuedAt = eq_.now();
     child->onComplete = [this, blockAddr](MemRequest &resp) {
         handleFill(blockAddr, resp.source);
     };
 
+    // @p entry is dead from here: a synchronous fill erases it.
     if (lower_) {
         lower_->access(child);
     } else {
@@ -389,10 +383,9 @@ Cache::forwardMiss(Addr blockAddr)
 void
 Cache::handleFill(Addr blockAddr, RespSource src)
 {
-    MshrEntry *slot = mshrs_.find(blockAddr);
-    TACSIM_CHECK(slot != nullptr && "fill without MSHR");
-    MshrEntry entry = std::move(*slot);
-    mshrs_.erase(blockAddr);
+    MshrEntry entry;
+    const bool found = mshrs_.take(blockAddr, entry);
+    TACSIM_CHECK(found && "fill without MSHR");
     if (entry.owner != kNoOwner) {
         TACSIM_DCHECK(arbMshrsByCore_[entry.owner] > 0 &&
                       "arbitration count underflow on fill");

@@ -320,7 +320,8 @@ class Cache : public MemDevice, public PrefetchIssuer
     /** True when the bandwidth bucket deferred @p req to the next
      *  window (the retry is already scheduled). */
     bool arbBwDefer(const MemRequestPtr &req);
-    void forwardMiss(Addr blockAddr);
+    /** Send the miss for @p entry (just inserted) to the lower level. */
+    void forwardMiss(Addr blockAddr, const MshrEntry &entry);
     void handleFill(Addr blockAddr, RespSource src);
     void installBlock(Addr blockAddr, const AccessInfo &ai, bool dirty);
     void evictWay(std::uint32_t set, std::uint32_t way);

@@ -49,13 +49,8 @@ class AddrMap
     V *
     find(std::uint64_t key)
     {
-        for (std::size_t i = home(key);; i = next(i)) {
-            Slot &s = slots_[i];
-            if (!s.used)
-                return nullptr;
-            if (s.key == key)
-                return &s.value;
-        }
+        const std::size_t i = slotOf(key);
+        return i == kNone ? nullptr : &slots_[i].value;
     }
 
     const V *
@@ -80,33 +75,23 @@ class AddrMap
     bool
     erase(std::uint64_t key)
     {
-        std::size_t i = home(key);
-        for (;; i = next(i)) {
-            if (!slots_[i].used)
-                return false;
-            if (slots_[i].key == key)
-                break;
-        }
-        // Backward-shift deletion: pull every follower whose home slot
-        // lies cyclically outside (i, j] into the hole so probe chains
-        // stay contiguous and no tombstones are needed.
-        std::size_t j = i;
-        for (;;) {
-            j = next(j);
-            if (!slots_[j].used)
-                break;
-            const std::size_t h = home(slots_[j].key);
-            const bool hInHole = i <= j ? (i < h && h <= j)
-                                        : (i < h || h <= j);
-            if (hInHole)
-                continue;
-            slots_[i].key = slots_[j].key;
-            slots_[i].value = std::move(slots_[j].value);
-            i = j;
-        }
-        slots_[i].used = false;
-        slots_[i].value = V();
-        --size_;
+        const std::size_t i = slotOf(key);
+        if (i == kNone)
+            return false;
+        eraseAt(i);
+        return true;
+    }
+
+    /** Move @p key's value into @p out and remove the entry, with one
+     *  probe; returns false (leaving @p out untouched) if absent. */
+    bool
+    take(std::uint64_t key, V &out)
+    {
+        const std::size_t i = slotOf(key);
+        if (i == kNone)
+            return false;
+        out = std::move(slots_[i].value);
+        eraseAt(i);
         return true;
     }
 
@@ -140,6 +125,45 @@ class AddrMap
         V value{};
         bool used = false;
     };
+
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    /** Slot holding @p key, or kNone. */
+    std::size_t
+    slotOf(std::uint64_t key) const
+    {
+        for (std::size_t i = home(key);; i = next(i)) {
+            if (!slots_[i].used)
+                return kNone;
+            if (slots_[i].key == key)
+                return i;
+        }
+    }
+
+    void
+    eraseAt(std::size_t i)
+    {
+        // Backward-shift deletion: pull every follower whose home slot
+        // lies cyclically outside (i, j] into the hole so probe chains
+        // stay contiguous and no tombstones are needed.
+        std::size_t j = i;
+        for (;;) {
+            j = next(j);
+            if (!slots_[j].used)
+                break;
+            const std::size_t h = home(slots_[j].key);
+            const bool hInHole = i <= j ? (i < h && h <= j)
+                                        : (i < h || h <= j);
+            if (hInHole)
+                continue;
+            slots_[i].key = slots_[j].key;
+            slots_[i].value = std::move(slots_[j].value);
+            i = j;
+        }
+        slots_[i].used = false;
+        slots_[i].value = V();
+        --size_;
+    }
 
     std::size_t
     home(std::uint64_t key) const

@@ -91,6 +91,8 @@ Core::retireHead()
         }
     }
     ++headSeq_;
+    if (++headIdx_ == params_.robSize)
+        headIdx_ = 0;
     --count_;
 }
 
@@ -129,6 +131,7 @@ Core::loadState(SerialReader &r)
     TACSIM_CHECK(count_ == 0 &&
                  "core restore requires an empty ROB");
     headSeq_ = r.getU64();
+    headIdx_ = static_cast<unsigned>(headSeq_ % params_.robSize);
     nextSeq_ = r.getU64();
     lastLoadSeq_ = r.getI64();
     // Stale ring contents are unreachable after a drain (the only
@@ -232,14 +235,15 @@ Core::issueMemOp(std::uint64_t seq)
     e.stlbMiss = true;
     e.wait = StallKind::Translation;
     ++stats_.stlbMissAccesses;
-    const Addr vaddr = e.vaddr;
-    const Addr ip = e.ip;
-    eq_.schedule(dtlb_.latency() + stlb_.latency(), [this, seq, vaddr,
-                                                     ip] {
-        ptw_.walk(params_.asid, vaddr, ip, params_.cpuId,
-                  [this, seq, vaddr](Addr dataPaddr, PageSize ps,
-                                     RespSource) {
-                      dtlb_.fill(params_.asid, vaddr,
+    // The op cannot retire while its walk is outstanding, so both
+    // closures read its entry at run time and capture only [this, seq]:
+    // small enough for std::function's inline buffer, so a walk
+    // callback allocates nothing.
+    eq_.schedule(dtlb_.latency() + stlb_.latency(), [this, seq] {
+        const RobEntry &op = entryFor(seq);
+        ptw_.walk(params_.asid, op.vaddr, op.ip, params_.cpuId,
+                  [this, seq](Addr dataPaddr, PageSize ps, RespSource) {
+                      dtlb_.fill(params_.asid, entryFor(seq).vaddr,
                                  pageAlign(dataPaddr, ps), ps);
                       // The replay re-issues only after the STLB and
                       // DTLB fills complete — the window ATP exploits.

@@ -151,17 +151,22 @@ class Core
         Cycle nStall = 0;
     };
 
+    /** Entry of in-flight @p seq: an offset from the head slot, wrapped
+     *  with one compare (robSize is not a power of two, so `seq %
+     *  robSize` would cost a 64-bit division per access). */
     RobEntry &entryFor(std::uint64_t seq)
     {
-        return rob_[seq % params_.robSize];
+        const std::uint64_t off = seq - headSeq_;
+        TACSIM_DCHECK(off < params_.robSize && "seq not in the ROB");
+        std::uint64_t i = headIdx_ + off;
+        if (i >= params_.robSize)
+            i -= params_.robSize;
+        return rob_[i];
     }
 
     bool robFull() const { return count_ == params_.robSize; }
-    RobEntry &head() { return rob_[headSeq_ % params_.robSize]; }
-    const RobEntry &head() const
-    {
-        return rob_[headSeq_ % params_.robSize];
-    }
+    RobEntry &head() { return rob_[headIdx_]; }
+    const RobEntry &head() const { return rob_[headIdx_]; }
 
     StallKind classifyHead() const;
     void chargeHeadStall(Cycle n);
@@ -184,6 +189,7 @@ class Core
 
     std::vector<RobEntry> rob_;
     std::uint64_t headSeq_ = 0; ///< sequence number of the ROB head
+    unsigned headIdx_ = 0;      ///< rob_ slot of headSeq_
     std::uint64_t nextSeq_ = 0; ///< next sequence number to dispatch
     unsigned count_ = 0;
 

@@ -99,11 +99,12 @@ class MemRequest
     PrefetchOrigin prefetchOrigin = PrefetchOrigin::None;
 
     std::uint16_t cpu = 0; ///< issuing hardware context
+    // source and done sit in cpu's padding (see the size check below).
+    RespSource source = RespSource::None;
+    bool done = false;
 
     Cycle issuedAt = 0;
     Cycle completedAt = 0;
-    RespSource source = RespSource::None;
-    bool done = false;
 
     /** Invoked exactly once when the request's data is available. */
     Callback onComplete;
@@ -141,6 +142,11 @@ class MemRequest
             onComplete(*this);
     }
 };
+
+// At 112 bytes, a request and its shared_ptr control block share one
+// 128-byte pooled node (mem/request_pool.hh).
+static_assert(sizeof(MemRequest) <= 112,
+              "MemRequest grew: check field order for padding");
 
 /**
  * Anything that can accept a MemRequest: a cache level or the DRAM

@@ -83,27 +83,25 @@ Server::~Server()
 void
 Server::start()
 {
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0)
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
         throw std::runtime_error("serve: socket() failed: " +
                                  std::string(std::strerror(errno)));
     const int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
     struct sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(cfg_.port);
     if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1) {
-        ::close(listenFd_);
-        listenFd_ = -1;
+        ::close(fd);
         throw std::runtime_error("serve: bad bind address " + cfg_.host);
     }
-    if (::bind(listenFd_, reinterpret_cast<struct sockaddr *>(&addr),
+    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
-        ::listen(listenFd_, 64) != 0) {
+        ::listen(fd, 64) != 0) {
         const std::string err = std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
+        ::close(fd);
         throw std::runtime_error("serve: cannot listen on " + cfg_.host +
                                  ":" + std::to_string(cfg_.port) + ": " +
                                  err);
@@ -111,8 +109,9 @@ Server::start()
 
     struct sockaddr_in bound{};
     socklen_t blen = sizeof(bound);
-    ::getsockname(listenFd_, reinterpret_cast<struct sockaddr *>(&bound),
+    ::getsockname(fd, reinterpret_cast<struct sockaddr *>(&bound),
                   &blen);
+    listenFd_.store(fd);
     boundPort_ = ntohs(bound.sin_port);
 
     unsigned workers = cfg_.workers;
@@ -130,8 +129,8 @@ Server::requestStop()
 {
     stopping_.store(true, std::memory_order_relaxed);
     // Closing the listen socket pops the accept loop out of accept().
-    const int fd = listenFd_;
-    listenFd_ = -1;
+    // exchange: a second stop finds -1 and cannot close the fd twice.
+    const int fd = listenFd_.exchange(-1);
     if (fd >= 0) {
         ::shutdown(fd, SHUT_RDWR);
         ::close(fd);
@@ -174,7 +173,7 @@ void
 Server::acceptLoop()
 {
     for (;;) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        const int fd = ::accept(listenFd_.load(), nullptr, nullptr);
         if (fd < 0) {
             if (stopping_.load(std::memory_order_relaxed))
                 return;

@@ -136,7 +136,8 @@ class Server
     ServerConfig cfg_;
     std::unique_ptr<ResultCache> cache_;
 
-    int listenFd_ = -1;
+    /** Read by the accept thread, taken by requestStop (any thread). */
+    std::atomic<int> listenFd_{-1};
     std::uint16_t boundPort_ = 0;
     std::atomic<bool> stopping_{false};
     std::thread acceptThread_;

@@ -108,7 +108,7 @@ PageTableWalker::walk(std::uint16_t asid, Addr vaddr, Addr ip,
                       std::uint16_t cpu, WalkCallback cb)
 {
     const std::uint64_t key = keyOf(asid, vaddr);
-    if (std::shared_ptr<WalkState> *live = inflight_.find(key)) {
+    if (std::unique_ptr<WalkState> *live = inflight_.find(key)) {
         ++stats_.merged;
         (*live)->callbacks.push_back(std::move(cb));
         return;
@@ -116,15 +116,15 @@ PageTableWalker::walk(std::uint16_t asid, Addr vaddr, Addr ip,
     // A duplicate may also be waiting behind the concurrency limit; a
     // second WalkState for the same key would later overwrite its
     // inflight_ slot and desync active_ from the map.
-    for (auto &queued : queue_) {
-        if (keyOf(queued->asid, queued->vaddr) == key) {
+    for (WalkState *q = queueHead_.get(); q; q = q->next.get()) {
+        if (keyOf(q->asid, q->vaddr) == key) {
             ++stats_.merged;
-            queued->callbacks.push_back(std::move(cb));
+            q->callbacks.push_back(std::move(cb));
             return;
         }
     }
 
-    auto ws = std::make_unique<WalkState>();
+    std::unique_ptr<WalkState> ws = acquireState();
     ws->asid = asid;
     ws->vaddr = vaddr;
     ws->ip = ip;
@@ -133,10 +133,39 @@ PageTableWalker::walk(std::uint16_t asid, Addr vaddr, Addr ip,
 
     if (active_ >= params_.maxConcurrentWalks) {
         ++stats_.queued;
-        queue_.push_back(std::move(ws));
+        WalkState *tail = ws.get();
+        if (queueTail_)
+            queueTail_->next = std::move(ws);
+        else
+            queueHead_ = std::move(ws);
+        queueTail_ = tail;
         return;
     }
     startWalk(std::move(ws));
+}
+
+std::unique_ptr<PageTableWalker::WalkState>
+PageTableWalker::acquireState()
+{
+    if (!free_)
+        return std::make_unique<WalkState>();
+    std::unique_ptr<WalkState> ws = std::move(free_);
+    free_ = std::move(ws->next);
+    return ws;
+}
+
+void
+PageTableWalker::releaseState(std::unique_ptr<WalkState> ws)
+{
+    std::vector<PendingRead> reads = std::move(ws->reads);
+    std::vector<WalkCallback> callbacks = std::move(ws->callbacks);
+    reads.clear();
+    callbacks.clear();
+    *ws = WalkState{};
+    ws->reads = std::move(reads);
+    ws->callbacks = std::move(callbacks);
+    ws->next = std::move(free_);
+    free_ = std::move(ws);
 }
 
 PageTable::WalkResult
@@ -228,15 +257,15 @@ PageTableWalker::startWalk(std::unique_ptr<WalkState> ws)
     }
     TACSIM_DCHECK(!ws->reads.empty());
 
-    std::shared_ptr<WalkState> shared(std::move(ws));
-    inflight_.insert(keyOf(shared->asid, shared->vaddr), shared);
+    WalkState *live = ws.get();
+    inflight_.insert(keyOf(live->asid, live->vaddr), std::move(ws));
 
     // PSC search costs one cycle, then the first read issues.
-    eq_.schedule(pscs_.latency(), [this, shared] { issueNext(shared); });
+    eq_.schedule(pscs_.latency(), [this, live] { issueNext(live); });
 }
 
 void
-PageTableWalker::issueNext(std::shared_ptr<WalkState> ws)
+PageTableWalker::issueNext(WalkState *ws)
 {
     const PendingRead &r = ws->reads[ws->nextRead];
     TACSIM_DCHECK(r.ptLevel >= 1 && r.ptLevel <= kPtLevels);
@@ -260,9 +289,10 @@ PageTableWalker::issueNext(std::shared_ptr<WalkState> ws)
         req->replayBlockPaddr = r.replayBlockPaddr;
     }
 
-    const bool leaf = r.leafPte;
-    req->onComplete = [this, ws, leaf](MemRequest &resp) {
-        if (leaf)
+    // inflight_ owns *ws until finishWalk, and this callback fires
+    // once, before then.
+    req->onComplete = [this, ws](MemRequest &resp) {
+        if (ws->reads[ws->nextRead].leafPte)
             ws->leafSource = resp.source;
         if (++ws->nextRead < ws->reads.size())
             issueNext(ws);
@@ -273,8 +303,14 @@ PageTableWalker::issueNext(std::shared_ptr<WalkState> ws)
 }
 
 void
-PageTableWalker::finishWalk(const std::shared_ptr<WalkState> &ws)
+PageTableWalker::finishWalk(WalkState *ws)
 {
+    std::unique_ptr<WalkState> owned;
+    const bool found = inflight_.take(keyOf(ws->asid, ws->vaddr), owned);
+    TACSIM_CHECK(found && "finished walk not in flight");
+    TACSIM_DCHECK(owned.get() == ws);
+    --active_;
+
     switch (ws->leafSource) {
       case RespSource::L1D: ++stats_.leafFromL1D; break;
       case RespSource::L2C: ++stats_.leafFromL2C; break;
@@ -297,11 +333,9 @@ PageTableWalker::finishWalk(const std::shared_ptr<WalkState> &ws)
     if (stlb_)
         stlb_->fill(ws->asid, ws->vaddr, ws->fillBase, ws->fillSize);
 
-    inflight_.erase(keyOf(ws->asid, ws->vaddr));
-    --active_;
-
     for (auto &cb : ws->callbacks)
         cb(ws->finalPaddr, ws->fillSize, ws->leafSource);
+    releaseState(std::move(owned));
 
     drainQueue();
 }
@@ -309,9 +343,11 @@ PageTableWalker::finishWalk(const std::shared_ptr<WalkState> &ws)
 void
 PageTableWalker::drainQueue()
 {
-    while (!queue_.empty() && active_ < params_.maxConcurrentWalks) {
-        auto ws = std::move(queue_.front());
-        queue_.pop_front();
+    while (queueHead_ && active_ < params_.maxConcurrentWalks) {
+        std::unique_ptr<WalkState> ws = std::move(queueHead_);
+        queueHead_ = std::move(ws->next);
+        if (!queueHead_)
+            queueTail_ = nullptr;
         startWalk(std::move(ws));
     }
 }
@@ -334,14 +370,25 @@ PageTableWalker::checkInvariants() const
            << params_.maxConcurrentWalks;
         throw InvariantViolation(who, "active-bound", os.str());
     }
-    if (!queue_.empty() && active_ < params_.maxConcurrentWalks) {
+    std::size_t queued = 0;
+    const WalkState *last = nullptr;
+    for (const WalkState *q = queueHead_.get(); q; q = q->next.get()) {
+        ++queued;
+        last = q;
+    }
+    if (last != queueTail_) {
         std::ostringstream os;
-        os << queue_.size() << " walks queued with only " << active_
+        os << "queue tail is not the last of " << queued << " queued walks";
+        throw InvariantViolation(who, "queue-tail", os.str());
+    }
+    if (queued != 0 && active_ < params_.maxConcurrentWalks) {
+        std::ostringstream os;
+        os << queued << " walks queued with only " << active_
            << "/" << params_.maxConcurrentWalks << " active";
         throw InvariantViolation(who, "queue-backlog", os.str());
     }
     inflight_.forEach([&](std::uint64_t key,
-                          const std::shared_ptr<WalkState> &ws) {
+                          const std::unique_ptr<WalkState> &ws) {
         std::ostringstream ctx;
         ctx << std::hex << "walk asid=" << ws->asid << " vaddr=0x"
             << ws->vaddr << std::dec << " startLevel=" << ws->startLevel

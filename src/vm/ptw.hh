@@ -26,6 +26,10 @@
  *
  * Walks to the same (asid, VPN) merge; a bounded number of walks may be
  * in flight, the rest queue.
+ *
+ * Walk states are pooled: a finished state goes to a free list with its
+ * vectors' capacity intact, and every closure on the walk path captures
+ * only [this, WalkState *], so a steady-state walk allocates nothing.
  */
 
 #ifndef TACSIM_VM_PTW_HH
@@ -33,7 +37,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -191,7 +194,7 @@ class PageTableWalker
     void
     requireIdle(const char *what) const
     {
-        if (active_ != 0 || !inflight_.empty() || !queue_.empty())
+        if (active_ != 0 || !inflight_.empty() || queueHead_)
             throw std::runtime_error(
                 std::string("checkpoint: cannot ") + what +
                 " walker state with walks in flight");
@@ -209,13 +212,13 @@ class PageTableWalker
 
     struct WalkState
     {
-        std::uint16_t asid;
-        Addr vaddr;
-        Addr ip;
-        std::uint16_t cpu;
+        std::uint16_t asid = 0;
+        Addr vaddr = 0;
+        Addr ip = 0;
+        std::uint16_t cpu = 0;
         PageTable::WalkResult info; ///< guest-dimension walk result
-        unsigned startLevel;        ///< first guest level actually read
-        Cycle startedAt;
+        unsigned startLevel = 0;    ///< first guest level actually read
+        Cycle startedAt = 0;
         std::vector<PendingRead> reads; ///< serial reference list
         std::size_t nextRead = 0;
         Addr finalPaddr = 0;   ///< host-physical data address
@@ -223,6 +226,9 @@ class PageTableWalker
         PageSize fillSize = PageSize::Size4K; ///< STLB fill granule
         RespSource leafSource = RespSource::None;
         std::vector<WalkCallback> callbacks;
+        /** Successor in the walk queue or the free list (a state is in
+         *  at most one of them, or in inflight_). */
+        std::unique_ptr<WalkState> next;
     };
 
     std::uint64_t keyOf(std::uint16_t asid, Addr vaddr) const
@@ -230,12 +236,16 @@ class PageTableWalker
         return (static_cast<std::uint64_t>(asid) << 48) ^ pageNumber(vaddr);
     }
 
+    /** A reset state from the free list, or a new one. */
+    std::unique_ptr<WalkState> acquireState();
+    /** Reset @p ws, keeping its vectors' capacity, and free-list it. */
+    void releaseState(std::unique_ptr<WalkState> ws);
     void startWalk(std::unique_ptr<WalkState> ws);
     /** Append a host sub-walk for @p gpa to ws->reads; returns the host
      *  walk result (nested mode only). */
     PageTable::WalkResult appendHostWalk(WalkState &ws, Addr gpa);
-    void issueNext(std::shared_ptr<WalkState> ws);
-    void finishWalk(const std::shared_ptr<WalkState> &ws);
+    void issueNext(WalkState *ws);
+    void finishWalk(WalkState *ws);
     void drainQueue();
 
     EventQueue &eq_;
@@ -254,8 +264,13 @@ class PageTableWalker
     /** Page table per ASID. A handful of entries probed once per walk:
      *  a flat array beats a node-based map (no hashing, no chase). */
     std::vector<std::pair<std::uint16_t, PageTable *>> spaces_;
-    AddrMap<std::shared_ptr<WalkState>> inflight_;
-    std::deque<std::unique_ptr<WalkState>> queue_;
+    AddrMap<std::unique_ptr<WalkState>> inflight_;
+    /** Walks waiting for a slot, FIFO: the head owns the chain through
+     *  WalkState::next. */
+    std::unique_ptr<WalkState> queueHead_;
+    WalkState *queueTail_ = nullptr;
+    /** Finished states for reuse, chained through WalkState::next. */
+    std::unique_ptr<WalkState> free_;
     unsigned active_ = 0;
     PtwStats stats_;
 };

@@ -1,8 +1,9 @@
 /**
  * @file
- * AddrMap stress tests: randomized churn against a std::unordered_map
- * reference model (growth/rehash under load), targeted backward-shift
- * deletion across the table's wrap boundary, and Addr 0 as a live key
+ * AddrMap stress tests: randomized churn (insert, erase, take, update)
+ * against a std::unordered_map reference model (growth/rehash under
+ * load), targeted backward-shift deletion and take() across the table's
+ * wrap boundary, and Addr 0 as a live key
  * (the map uses an explicit occupancy flag, not a sentinel key).
  */
 
@@ -10,6 +11,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +78,14 @@ TEST(AddrMap, ChurnMatchesReferenceModel)
             map.insert(key, step);
             ref.emplace(key, step);
         } else if (rng.chance(0.6)) {
-            EXPECT_TRUE(map.erase(key));
+            if (rng.chance(0.5)) {
+                EXPECT_TRUE(map.erase(key));
+            } else {
+                // Take-and-erase, like an MSHR fill or a finished walk.
+                std::uint64_t out = 0;
+                EXPECT_TRUE(map.take(key, out));
+                EXPECT_EQ(out, it->second);
+            }
             ref.erase(it);
         } else {
             // Update through find(), like MSHR merge does.
@@ -89,6 +98,9 @@ TEST(AddrMap, ChurnMatchesReferenceModel)
         const std::uint64_t ghost = (400 + rng.range(100)) * 64;
         EXPECT_EQ(map.find(ghost), nullptr);
         EXPECT_FALSE(map.erase(ghost));
+        std::uint64_t untouched = 7;
+        EXPECT_FALSE(map.take(ghost, untouched));
+        EXPECT_EQ(untouched, 7u);
 
         if (step % 1000 == 0)
             expectMatchesReference(map, ref);
@@ -159,6 +171,43 @@ TEST(AddrMap, BackwardShiftDeletionAcrossWrapBoundary)
     EXPECT_EQ(map.find(tail[2]), nullptr);
     ASSERT_NE(map.find(tail[1]), nullptr);
     ASSERT_NE(map.find(after), nullptr);
+}
+
+TEST(AddrMap, TakeAcrossWrapBoundaryMovesValueAndShiftsFollowers)
+{
+    // Same layout as above (slots 15, 0, 1 plus a displaced slot-2 key),
+    // emptied with take(): each call must hand back its own value and
+    // leave every follower reachable after the backward shift.
+    constexpr std::size_t kCap = 16;
+    AddrMap<std::unique_ptr<int>> map;
+    const std::vector<std::uint64_t> tail = keysWithHome(kCap - 1, kCap, 3);
+    const std::uint64_t after = keysWithHome(1, kCap, 1)[0];
+    map.insert(tail[0], std::make_unique<int>(10));
+    map.insert(tail[1], std::make_unique<int>(11));
+    map.insert(tail[2], std::make_unique<int>(12));
+    map.insert(after, std::make_unique<int>(20));
+
+    std::unique_ptr<int> out;
+    ASSERT_TRUE(map.take(tail[0], out)); // chain head, slot 15
+    EXPECT_EQ(*out, 10);
+    EXPECT_EQ(map.size(), 3u);
+    EXPECT_EQ(map.find(tail[0]), nullptr);
+    ASSERT_NE(map.find(tail[1]), nullptr);
+    EXPECT_EQ(**map.find(tail[1]), 11);
+    ASSERT_NE(map.find(tail[2]), nullptr);
+    EXPECT_EQ(**map.find(tail[2]), 12);
+    ASSERT_NE(map.find(after), nullptr);
+    EXPECT_EQ(**map.find(after), 20);
+
+    ASSERT_TRUE(map.take(after, out));
+    EXPECT_EQ(*out, 20);
+    ASSERT_TRUE(map.take(tail[2], out));
+    EXPECT_EQ(*out, 12);
+    ASSERT_TRUE(map.take(tail[1], out));
+    EXPECT_EQ(*out, 11);
+    EXPECT_TRUE(map.empty());
+    EXPECT_FALSE(map.take(tail[1], out));
+    EXPECT_EQ(*out, 11); // a miss leaves the output alone
 }
 
 TEST(AddrMap, ZeroAddressIsALiveKeyThroughWrapChurn)

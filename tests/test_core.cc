@@ -10,6 +10,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "core/core.hh"
 #include "test_util.hh"
 #include "vm/page_table.hh"
@@ -87,11 +88,10 @@ scriptFanOut(std::deque<TraceRecord> &script)
 }
 
 /** The fan-out's dependents reach memory after the producer's data
- *  returns, and in dispatch order. */
+ *  returns, and in dispatch order; @p data is the fan-out's requests. */
 void
-expectFanOutInDispatchOrder(const test::MockMemory &mem)
+expectFanOutInDispatchOrder(const std::vector<MemRequestPtr> &data)
 {
-    const auto data = dataRequests(mem);
     ASSERT_EQ(data.size(), 5u);
     EXPECT_EQ(data[0]->vaddr, 0x5000u);
     const Addr order[] = {0x5040, 0x5080, 0x50c0, 0x5100};
@@ -190,7 +190,7 @@ TEST_F(CoreTest, DependentsOfOneProducerIssueInDispatchOrder)
     runUntil(core, 5);
     EXPECT_EQ(core.stats().loads, 2u);
     EXPECT_EQ(core.stats().stores, 3u);
-    expectFanOutInDispatchOrder(mem);
+    expectFanOutInDispatchOrder(dataRequests(mem));
 }
 
 TEST_F(CoreTest, DependentChainSurvivesRobWrap)
@@ -206,7 +206,58 @@ TEST_F(CoreTest, DependentChainSurvivesRobWrap)
     runUntil(core, 11);
     EXPECT_EQ(core.stats().loads, 2u);
     EXPECT_EQ(core.stats().stores, 3u);
-    expectFanOutInDispatchOrder(mem);
+    expectFanOutInDispatchOrder(dataRequests(mem));
+}
+
+TEST_F(CoreTest, RestoreAtUnalignedHeadRunsDependentsAcrossWrap)
+{
+    CoreParams p;
+    p.robSize = 8;
+    // Checkpoint a drained core whose head sequence number is not a
+    // multiple of the ROB size, then restore it into a fresh core: its
+    // head starts mid-ring.
+    std::vector<std::uint8_t> ckpt;
+    std::uint64_t head = 0;
+    {
+        auto before = makeCore(p);
+        runUntil(before, 9);
+        before.beginDrain();
+        while (!before.robEmpty())
+            before.tick();
+        head = before.retired();
+        SerialWriter sw;
+        before.saveState(sw);
+        ckpt = sw.bytes();
+    }
+    ASSERT_NE(head % p.robSize, 0u);
+
+    auto core = makeCore(p);
+    SerialReader sr(ckpt);
+    core.loadState(sr);
+
+    // Pad so the producer takes the last ring slot and its four
+    // dependents wrap into slots 0-3; then a six-load pointer chase
+    // wraps the ring again.
+    for (std::uint64_t s = head % p.robSize; s + 1 < p.robSize; ++s)
+        wl.script.push_back(TraceRecord{});
+    scriptFanOut(wl.script);
+    for (int i = 0; i < 6; ++i)
+        wl.script.push_back(loadRec(Addr(0x9000) + Addr(i) * 0x40,
+                                    /*dep=*/true));
+    runUntil(core, p.robSize + 6);
+    EXPECT_EQ(core.stats().loads, 2u + 6u);
+    EXPECT_EQ(core.stats().stores, 3u);
+
+    const auto data = dataRequests(mem);
+    ASSERT_EQ(data.size(), 5u + 6u);
+    expectFanOutInDispatchOrder({data.begin(), data.begin() + 5});
+    // Each chase load waits for the load before it (the first for the
+    // fan-out's final load, data[4]).
+    for (std::size_t i = 5; i < data.size(); ++i) {
+        EXPECT_EQ(data[i]->vaddr, Addr(0x9000) + Addr(i - 5) * 0x40);
+        EXPECT_GE(data[i]->issuedAt, data[i - 1]->completedAt)
+            << "chase load " << i - 5 << " issued before its producer";
+    }
 }
 
 TEST_F(CoreTest, DependentOfCompletedProducerIssuesAtDispatch)

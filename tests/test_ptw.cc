@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the page-table walker: serial level reads, PSC skips,
- * merging, concurrency limits, STLB fills and the ATP plumbing
- * (IsLeafLevel + replay block address).
+ * merging, concurrency limits, STLB fills, the ATP plumbing
+ * (IsLeafLevel + replay block address) and walk-state pooling.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.hh"
 #include "test_util.hh"
 #include "vm/ptw.hh"
 
@@ -170,6 +171,165 @@ TEST_F(PtwTest, DistinctAsidsWalkDistinctTables)
     EXPECT_NE(pa0, 0u);
     EXPECT_NE(pa1, 0u);
     EXPECT_NE(pa0, pa1);
+}
+
+/** Memory stub that answers every read from a settable level, so a
+ *  walk's leaf source tells walks apart. */
+class SourceMemory : public MemDevice
+{
+  public:
+    explicit SourceMemory(EventQueue &eq) : eq_(eq) {}
+
+    void
+    access(const MemRequestPtr &req) override
+    {
+        reads.push_back({req->paddr, req->ptLevel, req->leafPte,
+                         req->replayBlockPaddr});
+        eq_.schedule(20, [this, req, src = source] {
+            req->complete(eq_.now(), src);
+        });
+    }
+
+    const std::string &name() const override { return name_; }
+
+    struct Read
+    {
+        Addr paddr;
+        std::uint8_t ptLevel;
+        bool leafPte;
+        Addr replayBlockPaddr;
+        bool operator==(const Read &) const = default;
+    };
+    std::vector<Read> reads;
+    RespSource source = RespSource::DRAM;
+
+  private:
+    EventQueue &eq_;
+    std::string name_ = "source";
+};
+
+TEST_F(PtwTest, RecycledWalkStateMatchesAFreshWalker)
+{
+    SourceMemory smem(eq);
+    PageTableWalker w(eq, &smem);
+    w.addAddressSpace(0, &pt);
+
+    // Walk A: cold (five reads), three merged callbacks, leaf from L1D.
+    // Its state then sits in the pool with five reads and three
+    // callbacks of capacity, nextRead == 5 and leafSource == L1D.
+    smem.source = RespSource::L1D;
+    int aFired = 0;
+    for (Addr off : {Addr{0}, Addr{0x40}, Addr{0x80}})
+        w.walk(0, 0x12345000 + off, 0, 0,
+               [&](Addr, PageSize, RespSource) { ++aFired; });
+    test::drain(eq);
+    ASSERT_EQ(aFired, 3);
+    ASSERT_EQ(smem.reads.size(), kPtLevels);
+
+    // A fresh walker with the same PSC contents and an empty pool.
+    SourceMemory fmem(eq);
+    PageTableWalker fresh(eq, &fmem);
+    fresh.addAddressSpace(0, &pt);
+    SerialWriter sw;
+    w.saveState(sw);
+    SerialReader sr(sw.bytes());
+    fresh.loadState(sr);
+
+    // Walk B, same 2MB region: a PSCL2 hit leaves only the leaf read,
+    // which LLC answers. A stale state would re-read A's levels, skip
+    // B's read, report L1D or re-fire A's callbacks.
+    const Addr vb = 0x12345000 + 9 * kPageSize + 0x123;
+    smem.source = fmem.source = RespSource::LLC;
+    smem.reads.clear();
+    std::vector<std::pair<Addr, RespSource>> got, want;
+    w.walk(0, vb, 0, 0, [&](Addr pa, PageSize, RespSource src) {
+        got.emplace_back(pa, src);
+    });
+    fresh.walk(0, vb, 0, 0, [&](Addr pa, PageSize, RespSource src) {
+        want.emplace_back(pa, src);
+    });
+    test::drain(eq);
+
+    EXPECT_EQ(aFired, 3);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got[0].first, pt.translate(vb));
+    EXPECT_EQ(got[0].second, RespSource::LLC);
+    ASSERT_EQ(fmem.reads.size(), 1u);
+    EXPECT_EQ(smem.reads, fmem.reads);
+    EXPECT_TRUE(smem.reads[0].leafPte);
+    EXPECT_EQ(smem.reads[0].replayBlockPaddr,
+              blockAlign(pt.translate(vb)));
+    EXPECT_EQ(w.stats().leafFromLLC, 1u);
+    EXPECT_EQ(w.stats().leafFromL1D, 1u);
+    EXPECT_EQ(w.stats().walkRefs.count(), 2u);
+    EXPECT_DOUBLE_EQ(w.stats().walkRefs.mean(), (kPtLevels + 1.0) / 2);
+    w.checkInvariants();
+}
+
+TEST_F(PtwTest, MergedCallbacksFireInArrivalOrderOnRecycledStates)
+{
+    PtwParams p;
+    p.maxConcurrentWalks = 1;
+    auto w = makeWalker(p);
+    // Warm the pool: two walks leave two states with callback capacity.
+    w.walk(0, kPageSize, 0, 0, [](Addr, PageSize, RespSource) {});
+    w.walk(0, 2 * kPageSize, 0, 0, [](Addr, PageSize, RespSource) {});
+    test::drain(eq);
+
+    // One in-flight walk and one queued walk, each with merged waiters
+    // interleaved in arrival order.
+    std::vector<int> order;
+    auto tag = [&order](int id) {
+        return [&order, id](Addr, PageSize, RespSource) {
+            order.push_back(id);
+        };
+    };
+    w.walk(0, 0x30000, 0, 0, tag(0));
+    w.walk(0, 0x40000, 0, 0, tag(10)); // queued behind the limit
+    w.walk(0, 0x30008, 0, 0, tag(1));
+    w.walk(0, 0x40008, 0, 0, tag(11)); // merges into the queued walk
+    w.walk(0, 0x30010, 0, 0, tag(2));
+    w.walk(0, 0x40010, 0, 0, tag(12));
+    w.checkInvariants();
+    test::drain(eq);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 11, 12}));
+    EXPECT_EQ(w.stats().merged, 4u);
+    EXPECT_EQ(w.stats().queued, 2u); // 0x2000 and 0x40000
+}
+
+TEST_F(PtwTest, QueuedWalksDrainAfterStatesAreRecycled)
+{
+    PtwParams p;
+    p.maxConcurrentWalks = 2;
+    auto w = makeWalker(p);
+    std::vector<Addr> done;
+    auto record = [&done](Addr pa, PageSize, RespSource) {
+        done.push_back(pa);
+    };
+    std::vector<Addr> expect;
+    // Three rounds; each queues more walks than the last, so later
+    // rounds run on a mix of recycled and new states.
+    Addr top = 1;
+    for (unsigned round = 1; round <= 3; ++round) {
+        for (unsigned i = 0; i < 3 * round; ++i, ++top) {
+            // A distinct root index per walk: every walk misses all the
+            // PSCs and reads all five levels.
+            const Addr va = top << 48;
+            w.walk(0, va, 0, 0, record);
+            expect.push_back(pt.translate(va));
+        }
+        EXPECT_EQ(w.activeWalks(), 2u);
+        w.checkInvariants();
+        test::drain(eq);
+        EXPECT_EQ(w.activeWalks(), 0u);
+        w.checkInvariants();
+    }
+    // Walks of equal depth start FIFO and take equally long, so they
+    // finish in the order they were requested.
+    EXPECT_EQ(done, expect);
+    EXPECT_EQ(w.stats().walks, 18u);
+    EXPECT_EQ(w.stats().queued, 1u + 4u + 7u);
 }
 
 } // namespace
