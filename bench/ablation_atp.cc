@@ -7,65 +7,74 @@
  * on the most translation-sensitive benchmarks.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Variant
 {
-    struct Variant
-    {
-        const char *name;
-        bool atpL2, atpLlc, tempo;
-    };
-    const Variant variants[] = {
-        {"T-policies only", false, false, false},
-        {"+ATP@L2C", true, false, false},
-        {"+ATP@LLC", false, true, false},
-        {"+ATP@both", true, true, false},
-        {"+TEMPO only", false, false, true},
-        {"+ATP@both+TEMPO", true, true, true},
-    };
+    const char *name;
+    bool atpL2, atpLlc, tempo;
+};
+const Variant kVariants[] = {
+    {"T-policies only", false, false, false},
+    {"+ATP@L2C", true, false, false},
+    {"+ATP@LLC", false, true, false},
+    {"+ATP@both", true, true, false},
+    {"+TEMPO only", false, false, true},
+    {"+ATP@both+TEMPO", true, true, true},
+};
 
-    const Benchmark subset[] = {Benchmark::mcf, Benchmark::canneal,
-                                Benchmark::pr, Benchmark::tc};
+const Benchmark kSubset[] = {Benchmark::mcf, Benchmark::canneal,
+                             Benchmark::pr, Benchmark::tc};
 
-    static std::map<std::string, std::vector<double>> series;
+void
+points(SweepRunner &sw)
+{
+    addEach(sw, "base", baselineConfig(), kSubset);
+    for (const Variant &v : kVariants) {
+        SystemConfig cfg = baselineConfig();
+        applyTranslationAware(cfg, {true, true, false, false, false});
+        cfg.atpL2 = v.atpL2;
+        cfg.atpLlc = v.atpLlc;
+        cfg.tempo = v.tempo;
+        cfg.dram.tempo = v.tempo;
+        addEach(sw, std::string("ablation_atp/") + v.name, cfg, kSubset);
+    }
+}
 
-    for (const Variant &v : variants) {
-        for (Benchmark b : subset) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const Variant &v : kVariants) {
+        const std::string pre = std::string("ablation_atp/") + v.name + "/";
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Variant vv = v;
-            registerCase(std::string("ablation_atp/") + v.name + "/" +
-                             bname,
-                         [vv, b, bname] {
-                             const RunResult &base = cachedRun(
-                                 "base/" + bname, baselineConfig(), b);
-                             SystemConfig cfg = baselineConfig();
-                             applyTranslationAware(
-                                 cfg,
-                                 {true, true, false, false, false});
-                             cfg.atpL2 = vv.atpL2;
-                             cfg.atpLlc = vv.atpLlc;
-                             cfg.tempo = vv.tempo;
-                             cfg.dram.tempo = vv.tempo;
-                             RunResult r = runBenchmark(cfg, b);
-                             const double sp = speedup(base, r);
-                             addRow(vv.name, bname, (sp - 1) * 100,
-                                    std::nan(""), "%");
-                             series[vv.name].push_back(sp);
-                         });
+            out.group([&] {
+                const double sp =
+                    speedup(out.at("base/" + bname), out.at(pre + bname));
+                out.add(v.name, bname, (sp - 1) * 100, std::nan(""), "%");
+                series[v.name].push_back(sp);
+            });
         }
     }
 
-    registerCase("ablation_atp/summary", [&variants] {
-        for (const Variant &v : variants)
-            addRow(v.name, "geomean",
-                   (geomean(series[v.name]) - 1) * 100, std::nan(""),
-                   "%");
-    });
-
-    return benchMain(argc, argv,
-                     "Ablation — ATP trigger level and TEMPO backstop");
+    for (const Variant &v : kVariants)
+        out.add(v.name, "geomean", (geomean(series[v.name]) - 1) * 100,
+                std::nan(""), "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure ablationAtp = {
+    "ablation_atp", "Ablation — ATP trigger level and TEMPO backstop",
+    points, reduce};
+
+} // namespace tacbench

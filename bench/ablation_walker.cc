@@ -7,59 +7,70 @@
  * provisioned MMU.
  */
 
+#include <array>
+#include <utility>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::mcf, Benchmark::pr, Benchmark::cc};
+
+/** The swept machines, each named by its table series: walker counts
+ *  1-8, then PSCs none / Table I / doubled. */
+std::vector<std::pair<std::string, SystemConfig>>
+variants()
 {
-    const Benchmark subset[] = {Benchmark::mcf, Benchmark::pr,
-                                Benchmark::cc};
-
-    // --- walker-count sweep ---
+    std::vector<std::pair<std::string, SystemConfig>> out;
     for (unsigned walkers : {1u, 2u, 4u, 8u}) {
-        for (Benchmark b : subset) {
-            const std::string bname = benchmarkName(b);
-            registerCase("ablation_walker/walkers" +
-                             std::to_string(walkers) + "/" + bname,
-                         [walkers, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.ptw.maxConcurrentWalks = walkers;
-                             RunResult r = runBenchmark(cfg, b);
-                             addRow("walkers=" + std::to_string(walkers),
-                                    bname, r.ipc, std::nan(""), "IPC");
-                         });
-        }
+        SystemConfig cfg = baselineConfig();
+        cfg.ptw.maxConcurrentWalks = walkers;
+        out.emplace_back("walkers=" + std::to_string(walkers), cfg);
     }
-
-    // --- PSC sweep: none / Table I / doubled ---
-    struct PscCfg
-    {
-        const char *name;
-        std::array<std::uint32_t, 4> sizes;
-    };
-    const PscCfg pscs[] = {
+    const std::pair<const char *, std::array<std::uint32_t, 4>> pscs[] = {
         {"psc=off", {1, 1, 1, 1}}, // 1-entry: effectively useless
         {"psc=TableI", {32, 8, 4, 2}},
         {"psc=2x", {64, 16, 8, 4}},
     };
-    for (const PscCfg &p : pscs) {
-        for (Benchmark b : subset) {
+    for (const auto &[name, sizes] : pscs) {
+        SystemConfig cfg = baselineConfig();
+        cfg.ptw.pscSizes = sizes;
+        out.emplace_back(name, cfg);
+    }
+    return out;
+}
+
+void
+points(SweepRunner &sw)
+{
+    for (const auto &[series, cfg] : variants())
+        addEach(sw, "ablation_walker/" + series, cfg, kSubset);
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    for (const auto &variant : variants()) {
+        const std::string &series = variant.first;
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            PscCfg pc = p;
-            registerCase(std::string("ablation_walker/") + p.name + "/" +
-                             bname,
-                         [pc, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.ptw.pscSizes = pc.sizes;
-                             RunResult r = runBenchmark(cfg, b);
-                             addRow(pc.name, bname, r.ipc, std::nan(""),
-                                    "IPC");
-                         });
+            out.group([&] {
+                out.add(series, bname,
+                        out.at("ablation_walker/" + series + "/" + bname).ipc,
+                        std::nan(""), "IPC");
+            });
         }
     }
-
-    return benchMain(argc, argv,
-                     "Ablation — page-walker concurrency and PSC sizing");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure ablationWalker = {
+    "ablation_walker", "Ablation — page-walker concurrency and PSC sizing",
+    points, reduce};
+
+} // namespace tacbench

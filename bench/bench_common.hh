@@ -1,19 +1,14 @@
 /**
  * @file
- * Shared plumbing for the per-figure bench binaries.
+ * The figure registry behind `tacsim-fig`, and the plumbing the figure
+ * sources share.
  *
- * Each binary registers one google-benchmark case per configuration
- * point (pinned to a single iteration — a simulation is deterministic,
- * repeating it only burns time), accumulates the series it measures,
- * and prints a paper-vs-measured table after the benchmark run so the
- * output is directly comparable with the paper's figure.
- *
- * Execution is two-phase: binaries register their simulation points on
- * the process-wide SweepRunner (registerPoint / registerMixPoint) before
- * benchMain, which executes the whole sweep across a thread pool
- * (TACSIM_JOBS workers) and then runs the reporting cases, which fetch
- * the memoized results via cachedRun(). Binaries that skip registration
- * still work: cachedRun() falls back to executing lazily in-place.
+ * Every paper table and figure is one Figure. Its points() registers
+ * each simulation point the figure needs on a SweepRunner; its reduce()
+ * reads the finished results and returns the paper-vs-measured rows in
+ * print order. The driver (tacsim_fig.cc) registers, runs the sweep
+ * once, then reduces, so every point runs on the TACSIM_JOBS pool, and
+ * a point several figures share (base/<bench>) runs once under `all`.
  *
  * Instruction budgets: TACSIM_INSTRUCTIONS / TACSIM_WARMUP override the
  * defaults for higher-fidelity runs. TACSIM_JSON_OUT=<path> additionally
@@ -23,13 +18,12 @@
 #ifndef TACSIM_BENCH_COMMON_HH
 #define TACSIM_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/runner.hh"
@@ -39,45 +33,85 @@ namespace tacbench {
 
 using namespace tacsim;
 
-/** One row of the final paper-vs-measured table. */
-using Row = ReportRow;
-
-inline std::vector<Row> &
-rows()
+/** One paper table or figure. */
+struct Figure
 {
-    static std::vector<Row> r;
-    return r;
-}
+    const char *name;  ///< driver argument, e.g. "fig04_translation_mpki"
+    const char *title; ///< table heading
+    /** Register every simulation point the figure reads. */
+    void (*points)(SweepRunner &);
+    /** Rows from the finished points, in print order. */
+    std::vector<ReportRow> (*reduce)(SweepRunner &);
+};
 
-inline void
-addRow(std::string series, std::string label, double measured,
-       double paper = std::nan(""), std::string unit = "")
-{
-    rows().push_back(
-        {std::move(series), std::move(label), measured, paper,
-         std::move(unit)});
-}
+/** Every figure, in paper order (the order of `list` and `all`). */
+const std::vector<const Figure *> &figures();
 
-/** Print the accumulated table with a figure title. */
-inline void
-printTable(const std::string &title)
+/** The figure called @p name, or nullptr. */
+const Figure *findFigure(const std::string &name);
+
+/** Rows::at() of a point whose job failed. */
+struct PointFailed : std::runtime_error
 {
-    std::printf("\n=== %s ===\n", title.c_str());
-    std::printf("%-28s %-14s %12s %12s %s\n", "series", "benchmark",
-                "measured", "paper", "unit");
-    for (const Row &r : rows()) {
-        if (std::isnan(r.paper)) {
-            std::printf("%-28s %-14s %12.3f %12s %s\n", r.series.c_str(),
-                        r.label.c_str(), r.measured, "-",
-                        r.unit.c_str());
-        } else {
-            std::printf("%-28s %-14s %12.3f %12.3f %s\n",
-                        r.series.c_str(), r.label.c_str(), r.measured,
-                        r.paper, r.unit.c_str());
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * The rows a reduce() step builds from finished points. Rows come in
+ * groups (one benchmark, one variant, one summary); a group that reads
+ * a failed point is dropped whole, so the table keeps every row the
+ * succeeded points support. A group reads all its points before it
+ * feeds a summary series kept outside it, so a dropped group leaves no
+ * trace there either.
+ */
+class Rows
+{
+  public:
+    explicit Rows(SweepRunner &sweep) : sweep_(sweep) {}
+
+    /** Result of @p key. Throws PointFailed when its job failed, and
+     *  std::logic_error when the key was never registered or has not
+     *  run (a figure whose reduce() reads outside its points()). */
+    const RunResult &
+    at(const std::string &key) const
+    {
+        const SweepOutcome *o = sweep_.outcome(key);
+        if (!o)
+            throw std::logic_error("figure reads sweep point '" + key +
+                                   "', which is not registered or has "
+                                   "not run");
+        if (!o->ok)
+            throw PointFailed(key);
+        return o->result;
+    }
+
+    void
+    add(std::string series, std::string label, double measured,
+        double paper = std::nan(""), std::string unit = "")
+    {
+        rows_.push_back({std::move(series), std::move(label), measured,
+                         paper, std::move(unit)});
+    }
+
+    /** Run one group of rows; drop it if it read a failed point. */
+    template <typename Fn>
+    void
+    group(Fn &&fn)
+    {
+        const std::size_t before = rows_.size();
+        try {
+            fn();
+        } catch (const PointFailed &) {
+            rows_.resize(before);
         }
     }
-    std::fflush(stdout);
-}
+
+    std::vector<ReportRow> take() { return std::move(rows_); }
+
+  private:
+    SweepRunner &sweep_;
+    std::vector<ReportRow> rows_;
+};
 
 /** Baseline Table-I system: DRRIP@L2, SHiP@LLC, no prefetchers. */
 inline SystemConfig
@@ -86,23 +120,72 @@ baselineConfig()
     return SystemConfig{};
 }
 
-/** The paper's full proposal on top of the baseline. */
+/** @p cfg with the paper's full proposal (T-policies, ATP, TEMPO)
+ *  applied on top. */
 inline SystemConfig
-proposedConfig(bool tempo = true)
+withProposal(SystemConfig cfg)
 {
-    SystemConfig cfg = baselineConfig();
     TranslationAwareOptions o;
-    o.tempo = tempo;
+    o.tempo = true;
     applyTranslationAware(cfg, o);
     return cfg;
 }
 
+/** The paper's full proposal on top of the baseline. */
+inline SystemConfig
+proposedConfig()
+{
+    return withProposal(baselineConfig());
+}
+
+/** Register @p cfg on every benchmark of @p subset, keyed
+ *  "<prefix>/<bench>". */
+template <typename Subset>
+void
+addEach(SweepRunner &sw, const std::string &prefix, const SystemConfig &cfg,
+        const Subset &subset)
+{
+    for (Benchmark b : subset)
+        sw.add(prefix + "/" + benchmarkName(b), cfg, b);
+}
+
+/** Register @p base and withProposal(@p base) on every benchmark of
+ *  @p subset, keyed "<prefix>/base/<bench>" and "<prefix>/prop/<bench>". */
+template <typename Subset>
+void
+addProposalPairs(SweepRunner &sw, const std::string &prefix,
+                 const SystemConfig &base, const Subset &subset)
+{
+    addEach(sw, prefix + "/base", base, subset);
+    addEach(sw, prefix + "/prop", withProposal(base), subset);
+}
+
 /**
- * Optional VM axes for the figure binaries (TACSIM_VM_AXES=1): rerun a
- * figure's comparison under THP-style huge pages and nested (guest×host)
- * translation. Off by default so the standard point set — and the
- * perf-smoke baseline — is unchanged.
+ * Register a custom point that runs @p b on @p cfg in a System built by
+ * hand, for the recall-profile figures: their histograms live in the
+ * System, which RunResult does not carry. @p read copies what the
+ * figure needs into a slot the figure owns (one per point, allocated
+ * before SweepRunner::run()) while the System is still alive.
  */
+inline void
+addProfiled(SweepRunner &sw, const std::string &key, const SystemConfig &cfg,
+            Benchmark b, std::function<void(System &)> read)
+{
+    sw.addCustom(key, [cfg, b, read = std::move(read),
+                       warm = defaultWarmup(),
+                       instr = defaultInstructions()] {
+        std::vector<std::unique_ptr<Workload>> w;
+        w.push_back(makeWorkload(b, cfg.seed));
+        System sys(cfg, std::move(w));
+        sys.warmup(warm);
+        sys.run(instr);
+        read(sys);
+        return collectResult(sys, benchmarkName(b));
+    });
+}
+
+/** A VM axis (fig14_vm, fig16_vm): a figure's comparison rerun under
+ *  THP-style huge pages or nested (guest×host) translation. */
 struct VmAxis
 {
     const char *name; ///< sweep-key segment, e.g. "thp50"
@@ -110,24 +193,6 @@ struct VmAxis
     double thp1g;
     bool nested;
 };
-
-inline bool
-vmAxesRequested()
-{
-    const char *v = std::getenv("TACSIM_VM_AXES");
-    return v && *v && std::string(v) != "0";
-}
-
-inline const std::vector<VmAxis> &
-vmAxes()
-{
-    static const std::vector<VmAxis> axes = {
-        {"thp50", 0.5, 0.0, false},
-        {"thp", 1.0, 0.0, false},
-        {"nested", 0.0, 0.0, true},
-    };
-    return axes;
-}
 
 inline SystemConfig
 withVmAxis(SystemConfig cfg, const VmAxis &a)
@@ -138,80 +203,14 @@ withVmAxis(SystemConfig cfg, const VmAxis &a)
     return cfg;
 }
 
-/** The process-wide sweep runner every bench binary shares. */
-inline SweepRunner &
-sweep()
+/** Arithmetic mean; 0 for an empty series. */
+inline double
+mean(const std::vector<double> &v)
 {
-    return globalSweep();
-}
-
-/** Phase 1: register one simulation point for the parallel sweep. */
-inline void
-registerPoint(const std::string &key, const SystemConfig &cfg, Benchmark b,
-              std::uint64_t instructions = 0, std::uint64_t warmup = 0)
-{
-    sweep().add(key, cfg, b, instructions, warmup);
-}
-
-/** Phase 1: register a multi-thread mix point. */
-inline void
-registerMixPoint(const std::string &key, const SystemConfig &cfg,
-                 std::vector<Benchmark> mix,
-                 std::uint64_t instructions = 0, std::uint64_t warmup = 0)
-{
-    sweep().addMix(key, cfg, std::move(mix), instructions, warmup);
-}
-
-/**
- * Memoized per-benchmark run (configs hashed by caller-chosen key).
- * Pre-registered keys return the sweep's result; unknown keys register
- * and execute on the spot (serial fallback).
- */
-inline const RunResult &
-cachedRun(const std::string &key, const SystemConfig &cfg, Benchmark b,
-          std::uint64_t instructions = 0, std::uint64_t warmup = 0)
-{
-    sweep().add(key, cfg, b, instructions, warmup);
-    return sweep().result(key);
-}
-
-/**
- * Register a single-shot google-benchmark case that executes @p fn once
- * and reports the wall time of the simulation.
- */
-inline void
-registerCase(const std::string &name, std::function<void()> fn)
-{
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [fn](benchmark::State &state) {
-            for (auto _ : state)
-                fn();
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-}
-
-/** Standard main body: execute the sweep, run the registered cases,
- *  print the table, and emit the JSON report if requested. */
-inline int
-benchMain(int argc, char **argv, const std::string &title)
-{
-    benchmark::Initialize(&argc, argv);
-    if (sweep().points() > 0)
-        std::fprintf(stderr, "tacsim: sweeping %zu points on %u threads\n",
-                     sweep().points(), sweep().threadCount());
-    sweep().run();
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    printTable(title);
-    for (const SweepOutcome *o : sweep().outcomes()) {
-        if (!o->ok)
-            std::fprintf(stderr, "tacsim: sweep point '%s' FAILED: %s\n",
-                         o->key.c_str(), o->error.c_str());
-    }
-    sweep().writeJsonFromEnv(title, rows());
-    return 0;
+    double s = 0;
+    for (double x : v)
+        s += x;
+    return v.empty() ? 0.0 : s / double(v.size());
 }
 
 /** Geometric mean of (positive) values. */

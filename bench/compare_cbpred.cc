@@ -11,54 +11,58 @@
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii, Benchmark::bf};
+
+void
+points(SweepRunner &sw)
 {
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii, Benchmark::bf};
+    SystemConfig cb = baselineConfig();
+    cb.llcDeadBlock = true;
+    addEach(sw, "base", baselineConfig(), kSubset);
+    addEach(sw, "cbpred", cb, kSubset);
+    addEach(sw, "prop", proposedConfig(), kSubset);
+}
 
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
     std::vector<double> cbGain, propGain, propOverCb;
-
-    for (Benchmark b : subset) {
+    for (Benchmark b : kSubset) {
         const std::string name = benchmarkName(b);
-        registerCase("cbpred/" + name,
-                     [b, name, &cbGain, &propGain, &propOverCb] {
-                         const RunResult &base =
-                             cachedRun("base/" + name, baselineConfig(),
-                                       b);
-
-                         SystemConfig cb = baselineConfig();
-                         cb.llcDeadBlock = true;
-                         RunResult rcb = runBenchmark(cb, b);
-
-                         const RunResult &rp = cachedRun(
-                             "prop/" + name, proposedConfig(), b);
-
-                         const double sCb = speedup(base, rcb);
-                         const double sP = speedup(base, rp);
-                         addRow("CbPred(SHiP)", name, (sCb - 1) * 100,
-                                std::nan(""), "%");
-                         addRow("proposal", name, (sP - 1) * 100,
-                                std::nan(""), "%");
-                         cbGain.push_back(sCb);
-                         propGain.push_back(sP);
-                         propOverCb.push_back(sP / sCb);
-                     });
+        out.group([&] {
+            const RunResult &base = out.at("base/" + name);
+            const double sCb = speedup(base, out.at("cbpred/" + name));
+            const double sP = speedup(base, out.at("prop/" + name));
+            out.add("CbPred(SHiP)", name, (sCb - 1) * 100, std::nan(""),
+                    "%");
+            out.add("proposal", name, (sP - 1) * 100, std::nan(""), "%");
+            cbGain.push_back(sCb);
+            propGain.push_back(sP);
+            propOverCb.push_back(sP / sCb);
+        });
     }
 
-    registerCase("cbpred/summary", [&cbGain, &propGain, &propOverCb] {
-        addRow("CbPred(SHiP)", "geomean", (geomean(cbGain) - 1) * 100,
-               std::nan(""), "%");
-        addRow("proposal", "geomean", (geomean(propGain) - 1) * 100,
-               std::nan(""), "%");
-        addRow("proposal vs CbPred", "geomean",
-               (geomean(propOverCb) - 1) * 100, 3.1, "%");
-    });
-
-    return benchMain(argc, argv,
-                     "§V-B — comparison with CbPred/DpPred dead-block "
-                     "management");
+    out.add("CbPred(SHiP)", "geomean", (geomean(cbGain) - 1) * 100,
+            std::nan(""), "%");
+    out.add("proposal", "geomean", (geomean(propGain) - 1) * 100,
+            std::nan(""), "%");
+    out.add("proposal vs CbPred", "geomean",
+            (geomean(propOverCb) - 1) * 100, 3.1, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure compareCbpred = {
+    "compare_cbpred",
+    "§V-B — comparison with CbPred/DpPred dead-block management", points,
+    reduce};
+
+} // namespace tacbench

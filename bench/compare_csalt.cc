@@ -10,70 +10,75 @@
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::xalancbmk};
+
+void
+points(SweepRunner &sw)
 {
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::xalancbmk};
+    // CSALT on the strong (DRRIP+SHiP) baseline.
+    SystemConfig cs = baselineConfig();
+    cs.llcCsalt = true;
+    // CSALT over a weak LRU baseline (the CSALT paper's own setting,
+    // corroborated by §V-B).
+    SystemConfig lru = baselineConfig();
+    lru.l2Policy = PolicyKind::LRU;
+    lru.llcPolicy = PolicyKind::LRU;
+    SystemConfig lruCs = lru;
+    lruCs.llcCsalt = true;
 
+    addEach(sw, "base", baselineConfig(), kSubset);
+    addEach(sw, "csalt/strong", cs, kSubset);
+    addEach(sw, "csalt/lru", lru, kSubset);
+    addEach(sw, "csalt/lru+csalt", lruCs, kSubset);
+    addEach(sw, "prop", proposedConfig(), kSubset);
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
     std::vector<double> csaltOverStrong, csaltOverLru, propGain;
-
-    for (Benchmark b : subset) {
+    for (Benchmark b : kSubset) {
         const std::string name = benchmarkName(b);
-        registerCase(
-            "csalt/" + name,
-            [b, name, &csaltOverStrong, &csaltOverLru, &propGain] {
-                const RunResult &base =
-                    cachedRun("base/" + name, baselineConfig(), b);
-
-                // CSALT on the strong (DRRIP+SHiP) baseline.
-                SystemConfig cs = baselineConfig();
-                cs.llcCsalt = true;
-                RunResult rcs = runBenchmark(cs, b);
-
-                // CSALT over a weak LRU baseline (the CSALT paper's own
-                // setting, corroborated by §V-B).
-                SystemConfig lru = baselineConfig();
-                lru.l2Policy = PolicyKind::LRU;
-                lru.llcPolicy = PolicyKind::LRU;
-                RunResult rlru = runBenchmark(lru, b);
-                SystemConfig lruCs = lru;
-                lruCs.llcCsalt = true;
-                RunResult rlruCs = runBenchmark(lruCs, b);
-
-                const RunResult &rp =
-                    cachedRun("prop/" + name, proposedConfig(), b);
-
-                const double sStrong = speedup(base, rcs);
-                const double sLru = speedup(rlru, rlruCs);
-                const double sProp = speedup(base, rp);
-                addRow("CSALT over strong base", name,
-                       (sStrong - 1) * 100, std::nan(""), "%");
-                addRow("CSALT over LRU base", name, (sLru - 1) * 100,
-                       std::nan(""), "%");
-                addRow("proposal over strong base", name,
-                       (sProp - 1) * 100, std::nan(""), "%");
-                csaltOverStrong.push_back(sStrong);
-                csaltOverLru.push_back(sLru);
-                propGain.push_back(sProp);
-            });
+        out.group([&] {
+            const RunResult &base = out.at("base/" + name);
+            const double sStrong =
+                speedup(base, out.at("csalt/strong/" + name));
+            const double sLru = speedup(out.at("csalt/lru/" + name),
+                                        out.at("csalt/lru+csalt/" + name));
+            const double sProp = speedup(base, out.at("prop/" + name));
+            out.add("CSALT over strong base", name, (sStrong - 1) * 100,
+                    std::nan(""), "%");
+            out.add("CSALT over LRU base", name, (sLru - 1) * 100,
+                    std::nan(""), "%");
+            out.add("proposal over strong base", name, (sProp - 1) * 100,
+                    std::nan(""), "%");
+            csaltOverStrong.push_back(sStrong);
+            csaltOverLru.push_back(sLru);
+            propGain.push_back(sProp);
+        });
     }
 
-    registerCase("csalt/summary",
-                 [&csaltOverStrong, &csaltOverLru, &propGain] {
-                     addRow("CSALT over strong base", "geomean",
-                            (geomean(csaltOverStrong) - 1) * 100, 1.0,
-                            "%");
-                     addRow("CSALT over LRU base", "geomean",
-                            (geomean(csaltOverLru) - 1) * 100,
-                            std::nan(""), "% (paper: larger than strong)");
-                     addRow("proposal over strong base", "geomean",
-                            (geomean(propGain) - 1) * 100, 5.1, "%");
-                 });
-
-    return benchMain(argc, argv,
-                     "§V-B — comparison with CSALT partitioning");
+    out.add("CSALT over strong base", "geomean",
+            (geomean(csaltOverStrong) - 1) * 100, 1.0, "%");
+    out.add("CSALT over LRU base", "geomean",
+            (geomean(csaltOverLru) - 1) * 100, std::nan(""),
+            "% (paper: larger than strong)");
+    out.add("proposal over strong base", "geomean",
+            (geomean(propGain) - 1) * 100, 5.1, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure compareCsalt = {"compare_csalt",
+                             "§V-B — comparison with CSALT partitioning",
+                             points, reduce};
+
+} // namespace tacbench

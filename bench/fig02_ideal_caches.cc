@@ -12,7 +12,7 @@
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
 namespace {
 
@@ -44,37 +44,49 @@ const Variant kVariants[] = {
      }},
 };
 
-} // namespace
+// A memory-intensive subset keeps the figure fast; the suite-average
+// rows are computed over it.
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii};
 
-int
-main(int argc, char **argv)
+void
+points(SweepRunner &sw)
 {
-    // A memory-intensive subset keeps the binary fast; the suite-average
-    // rows are computed over it.
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii};
-
+    addEach(sw, "base", baselineConfig(), kSubset);
     for (const Variant &v : kVariants) {
-        auto *vp = &v;
-        registerCase(std::string("fig02/") + v.name, [vp, &subset] {
+        SystemConfig cfg = baselineConfig();
+        v.apply(cfg);
+        addEach(sw, std::string("fig02/") + v.name, cfg, kSubset);
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    for (const Variant &v : kVariants) {
+        const std::string pre = std::string("fig02/") + v.name + "/";
+        out.group([&] {
             std::vector<double> speedups;
-            for (Benchmark b : subset) {
+            for (Benchmark b : kSubset) {
                 const std::string name = benchmarkName(b);
-                const RunResult &base =
-                    cachedRun("base/" + name, baselineConfig(), b);
-                SystemConfig cfg = baselineConfig();
-                vp->apply(cfg);
-                RunResult r = runBenchmark(cfg, b);
-                const double s = speedup(base, r);
-                addRow(vp->name, name, (s - 1) * 100, std::nan(""), "%");
+                const double s =
+                    speedup(out.at("base/" + name), out.at(pre + name));
+                out.add(v.name, name, (s - 1) * 100, std::nan(""), "%");
                 speedups.push_back(s);
             }
-            addRow(vp->name, "geomean", (geomean(speedups) - 1) * 100,
-                   vp->paperAvg, "%");
+            out.add(v.name, "geomean", (geomean(speedups) - 1) * 100,
+                    v.paperAvg, "%");
         });
     }
-
-    return benchMain(argc, argv,
-                     "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig02IdealCaches = {
+    "fig02_ideal_caches", "Fig. 2 — speedup with ideal L2C/LLC for T/R/TR",
+    points, reduce};
+
+} // namespace tacbench

@@ -7,59 +7,66 @@
  * DRRIP -27.45%, SHiP -33.3%, Hawkeye +44.1%.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::pair<const char *, PolicyKind> kPolicies[] = {
+    {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
+    {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
+    {"Hawkeye", PolicyKind::Hawkeye},
+};
+
+void
+points(SweepRunner &sw)
 {
-    const std::pair<const char *, PolicyKind> policies[] = {
-        {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
-        {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
-        {"Hawkeye", PolicyKind::Hawkeye},
-    };
+    for (const auto &[pname, kind] : kPolicies) {
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = kind;
+        addEach(sw, std::string("fig04/") + pname, cfg, kAllBenchmarks);
+    }
+}
 
-    static std::map<std::string, std::vector<double>> series;
-
-    for (auto [pname, kind] : policies) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const auto &policy : kPolicies) {
+        const std::string pname = policy.first;
         for (Benchmark b : kAllBenchmarks) {
             const std::string bname = benchmarkName(b);
-            const std::string key =
-                std::string("fig04/") + pname + "/" + bname;
-            PolicyKind k = kind;
-            std::string pn = pname;
-            registerCase(key, [k, pn, b, bname] {
-                SystemConfig cfg = baselineConfig();
-                cfg.llcPolicy = k;
-                RunResult r = runBenchmark(cfg, b);
-                addRow(pn, bname, r.llcPtl1Mpki, std::nan(""), "MPKI");
-                series[pn].push_back(r.llcPtl1Mpki);
+            out.group([&] {
+                const RunResult &r = out.at("fig04/" + pname + "/" + bname);
+                out.add(pname, bname, r.llcPtl1Mpki, std::nan(""), "MPKI");
+                series[pname].push_back(r.llcPtl1Mpki);
             });
         }
     }
 
-    registerCase("fig04/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        const double lru = avg(series["LRU"]);
-        const struct { const char *n; double paper; } deltas[] = {
-            {"SRRIP", -14.72}, {"DRRIP", -27.45}, {"SHiP", -33.3},
-            {"Hawkeye", +44.1},
-        };
-        addRow("LRU", "suite avg MPKI", lru, std::nan(""), "MPKI");
-        for (auto d : deltas) {
-            const double pct =
-                lru > 0 ? (avg(series[d.n]) / lru - 1) * 100 : 0.0;
-            addRow(std::string(d.n) + " vs LRU", "suite avg", pct,
-                   d.paper, "%");
-        }
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 4 — leaf-translation MPKI at LLC by policy");
+    const double lru = mean(series["LRU"]);
+    const struct { const char *n; double paper; } deltas[] = {
+        {"SRRIP", -14.72}, {"DRRIP", -27.45}, {"SHiP", -33.3},
+        {"Hawkeye", +44.1},
+    };
+    out.add("LRU", "suite avg MPKI", lru, std::nan(""), "MPKI");
+    for (auto d : deltas) {
+        const double pct =
+            lru > 0 ? (mean(series[d.n]) / lru - 1) * 100 : 0.0;
+        out.add(std::string(d.n) + " vs LRU", "suite avg", pct, d.paper,
+                "%");
+    }
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig04TranslationMpki = {
+    "fig04_translation_mpki",
+    "Fig. 4 — leaf-translation MPKI at LLC by policy", points, reduce};
+
+} // namespace tacbench

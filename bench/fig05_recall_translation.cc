@@ -9,58 +9,81 @@
  * their misses into hits, which is T-DRRIP/T-SHiP's premise.
  */
 
+#include <iterator>
+
 #include "bench_common.hh"
-#include "sim/system.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::xalancbmk};
+
+/** Translation recall fractions (%) of one benchmark. */
+struct Recall
 {
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::xalancbmk};
+    double llc50 = 0, l2c50 = 0, llc10 = 0;
+};
 
-    std::vector<double> llc50, l2c50;
+/** One slot per kSubset entry, filled by its custom point. */
+Recall gRecall[std::size(kSubset)];
 
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig05/" + name, [b, name, &llc50, &l2c50] {
-            SystemConfig cfg = baselineConfig();
-            cfg.profileCacheRecall = true;
-            std::vector<std::unique_ptr<Workload>> w;
-            w.push_back(makeWorkload(b, cfg.seed));
-            System sys(cfg, std::move(w));
-            sys.warmup(defaultWarmup());
-            sys.run(defaultInstructions());
+std::string
+recallKey(Benchmark b)
+{
+    return "custom/fig05/" + benchmarkName(b);
+}
 
+void
+points(SweepRunner &sw)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.profileCacheRecall = true;
+    for (std::size_t i = 0; i < std::size(kSubset); ++i) {
+        addProfiled(sw, recallKey(kSubset[i]), cfg, kSubset[i],
+                    [slot = &gRecall[i]](System &sys) {
             const Histogram &llc =
                 sys.llc().recallProfiler()->translationHist();
             const Histogram &l2c =
                 sys.l2().recallProfiler()->translationHist();
-            const double fLlc = llc.fractionAtOrBelow(50) * 100;
-            const double fL2c = l2c.fractionAtOrBelow(50) * 100;
-            addRow("LLC recall<=50", name, fLlc, std::nan(""), "%");
-            addRow("L2C recall<=50", name, fL2c, std::nan(""), "%");
-            addRow("LLC recall<=10", name,
-                   llc.fractionAtOrBelow(10) * 100, std::nan(""), "%");
-            llc50.push_back(fLlc);
-            l2c50.push_back(fL2c);
+            slot->llc50 = llc.fractionAtOrBelow(50) * 100;
+            slot->l2c50 = l2c.fractionAtOrBelow(50) * 100;
+            slot->llc10 = llc.fractionAtOrBelow(10) * 100;
+        });
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::vector<double> llc50, l2c50;
+    for (std::size_t i = 0; i < std::size(kSubset); ++i) {
+        const std::string name = benchmarkName(kSubset[i]);
+        out.group([&] {
+            // Drops this group when the point failed.
+            out.at(recallKey(kSubset[i]));
+            const Recall &r = gRecall[i];
+            out.add("LLC recall<=50", name, r.llc50, std::nan(""), "%");
+            out.add("L2C recall<=50", name, r.l2c50, std::nan(""), "%");
+            out.add("LLC recall<=10", name, r.llc10, std::nan(""), "%");
+            llc50.push_back(r.llc50);
+            l2c50.push_back(r.l2c50);
         });
     }
 
-    registerCase("fig05/summary", [&llc50, &l2c50] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        addRow("LLC recall<=50", "suite avg", avg(llc50), 30.0, "%");
-        addRow("L2C recall<=50", "suite avg", avg(l2c50), 30.0, "%");
-    });
-
-    return benchMain(
-        argc, argv,
-        "Fig. 5 — recall distance of leaf translations at LLC/L2C");
+    out.add("LLC recall<=50", "suite avg", mean(llc50), 30.0, "%");
+    out.add("L2C recall<=50", "suite avg", mean(l2c50), 30.0, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig05RecallTranslation = {
+    "fig05_recall_translation",
+    "Fig. 5 — recall distance of leaf translations at LLC/L2C", points,
+    reduce};
+
+} // namespace tacbench

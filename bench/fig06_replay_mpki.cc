@@ -8,50 +8,58 @@
  * recency/prediction scheme can keep the ones that matter.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::pair<const char *, PolicyKind> kPolicies[] = {
+    {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
+    {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
+    {"Hawkeye", PolicyKind::Hawkeye},
+};
+
+void
+points(SweepRunner &sw)
 {
-    const std::pair<const char *, PolicyKind> policies[] = {
-        {"LRU", PolicyKind::LRU},       {"SRRIP", PolicyKind::SRRIP},
-        {"DRRIP", PolicyKind::DRRIP},   {"SHiP", PolicyKind::SHiP},
-        {"Hawkeye", PolicyKind::Hawkeye},
-    };
+    for (const auto &[pname, kind] : kPolicies) {
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = kind;
+        addEach(sw, std::string("fig06/") + pname, cfg, kAllBenchmarks);
+    }
+}
 
-    static std::map<std::string, std::vector<double>> series;
-
-    for (auto [pname, kind] : policies) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const auto &policy : kPolicies) {
+        const std::string pname = policy.first;
         for (Benchmark b : kAllBenchmarks) {
             const std::string bname = benchmarkName(b);
-            PolicyKind k = kind;
-            std::string pn = pname;
-            registerCase(std::string("fig06/") + pname + "/" + bname,
-                         [k, pn, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.llcPolicy = k;
-                             RunResult r = runBenchmark(cfg, b);
-                             addRow(pn, bname, r.llcReplayMpki,
-                                    std::nan(""), "MPKI");
-                             series[pn].push_back(r.llcReplayMpki);
-                         });
+            out.group([&] {
+                const RunResult &r = out.at("fig06/" + pname + "/" + bname);
+                out.add(pname, bname, r.llcReplayMpki, std::nan(""),
+                        "MPKI");
+                series[pname].push_back(r.llcReplayMpki);
+            });
         }
     }
 
-    registerCase("fig06/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        for (auto &kv : series)
-            addRow(kv.first, "suite avg", avg(kv.second), std::nan(""),
-                   "MPKI (policy-invariant per paper)");
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 6 — replay MPKI at LLC by replacement policy");
+    for (auto &kv : series)
+        out.add(kv.first, "suite avg", mean(kv.second), std::nan(""),
+                "MPKI (policy-invariant per paper)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig06ReplayMpki = {
+    "fig06_replay_mpki",
+    "Fig. 6 — replay MPKI at LLC by replacement policy", points, reduce};
+
+} // namespace tacbench

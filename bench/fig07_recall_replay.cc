@@ -8,49 +8,74 @@
  * which is why the paper prefetches them (ATP) instead.
  */
 
+#include <iterator>
+
 #include "bench_common.hh"
-#include "sim/system.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr, Benchmark::bf};
+
+/** Replay recall fractions (%) beyond 50 of one benchmark. */
+struct Recall
 {
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::bf};
+    double llc = 0, l2c = 0;
+};
 
-    std::vector<double> over50;
+/** One slot per kSubset entry, filled by its custom point. */
+Recall gRecall[std::size(kSubset)];
 
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig07/" + name, [b, name, &over50] {
-            SystemConfig cfg = baselineConfig();
-            cfg.profileCacheRecall = true;
-            std::vector<std::unique_ptr<Workload>> w;
-            w.push_back(makeWorkload(b, cfg.seed));
-            System sys(cfg, std::move(w));
-            sys.warmup(defaultWarmup());
-            sys.run(defaultInstructions());
+std::string
+recallKey(Benchmark b)
+{
+    return "custom/fig07/" + benchmarkName(b);
+}
 
-            const Histogram &llc = sys.llc().recallProfiler()->replayHist();
+void
+points(SweepRunner &sw)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.profileCacheRecall = true;
+    for (std::size_t i = 0; i < std::size(kSubset); ++i) {
+        addProfiled(sw, recallKey(kSubset[i]), cfg, kSubset[i],
+                    [slot = &gRecall[i]](System &sys) {
+            const Histogram &llc =
+                sys.llc().recallProfiler()->replayHist();
             const Histogram &l2c = sys.l2().recallProfiler()->replayHist();
-            const double fLlc = (1 - llc.fractionAtOrBelow(50)) * 100;
-            const double fL2c = (1 - l2c.fractionAtOrBelow(50)) * 100;
-            addRow("LLC recall>50", name, fLlc, std::nan(""), "%");
-            addRow("L2C recall>50", name, fL2c, std::nan(""), "%");
-            over50.push_back(fLlc);
+            slot->llc = (1 - llc.fractionAtOrBelow(50)) * 100;
+            slot->l2c = (1 - l2c.fractionAtOrBelow(50)) * 100;
+        });
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::vector<double> over50;
+    for (std::size_t i = 0; i < std::size(kSubset); ++i) {
+        const std::string name = benchmarkName(kSubset[i]);
+        out.group([&] {
+            // Drops this group when the point failed.
+            out.at(recallKey(kSubset[i]));
+            const Recall &r = gRecall[i];
+            out.add("LLC recall>50", name, r.llc, std::nan(""), "%");
+            out.add("L2C recall>50", name, r.l2c, std::nan(""), "%");
+            over50.push_back(r.llc);
         });
     }
 
-    registerCase("fig07/summary", [&over50] {
-        double s = 0;
-        for (double x : over50)
-            s += x;
-        addRow("LLC recall>50", "suite avg",
-               over50.empty() ? 0 : s / double(over50.size()), 60.0, "%");
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 7 — recall distance of replays at LLC/L2C");
+    out.add("LLC recall>50", "suite avg", mean(over50), 60.0, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig07RecallReplay = {
+    "fig07_recall_replay",
+    "Fig. 7 — recall distance of replays at LLC/L2C", points, reduce};
+
+} // namespace tacbench

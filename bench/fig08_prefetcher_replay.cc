@@ -9,71 +9,80 @@
  * physical sequences.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Pf
 {
-    struct Pf
-    {
-        const char *name;
-        PrefetcherKind l1;
-        PrefetcherKind l2;
-    };
-    const Pf pfs[] = {
-        {"no-prefetch", PrefetcherKind::None, PrefetcherKind::None},
-        {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None},
-        {"SPP", PrefetcherKind::None, PrefetcherKind::Spp},
-        {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo},
-        {"ISB", PrefetcherKind::None, PrefetcherKind::Isb},
-    };
+    const char *name;
+    PrefetcherKind l1;
+    PrefetcherKind l2;
+};
+const Pf kPfs[] = {
+    {"no-prefetch", PrefetcherKind::None, PrefetcherKind::None},
+    {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None},
+    {"SPP", PrefetcherKind::None, PrefetcherKind::Spp},
+    {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo},
+    {"ISB", PrefetcherKind::None, PrefetcherKind::Isb},
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::mcf,
-                                Benchmark::canneal, Benchmark::cc,
-                                Benchmark::pr, Benchmark::bf};
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::mcf,
+                             Benchmark::canneal, Benchmark::cc,
+                             Benchmark::pr, Benchmark::bf};
 
-    static std::map<std::string, std::vector<double>> series;
+void
+points(SweepRunner &sw)
+{
+    for (const Pf &p : kPfs) {
+        SystemConfig cfg = baselineConfig();
+        cfg.l1Prefetcher = p.l1;
+        cfg.l2Prefetcher = p.l2;
+        addEach(sw, std::string("fig08/") + p.name, cfg, kSubset);
+    }
+}
 
-    for (const Pf &p : pfs) {
-        for (Benchmark b : subset) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const Pf &p : kPfs) {
+        const std::string pre = std::string("fig08/") + p.name + "/";
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Pf pf = p;
-            registerCase(std::string("fig08/") + p.name + "/" + bname,
-                         [pf, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.l1Prefetcher = pf.l1;
-                             cfg.l2Prefetcher = pf.l2;
-                             RunResult r = runBenchmark(cfg, b);
-                             addRow(pf.name, bname, r.llcReplayMpki,
-                                    std::nan(""), "MPKI");
-                             series[pf.name].push_back(r.llcReplayMpki);
-                         });
+            out.group([&] {
+                const RunResult &r = out.at(pre + bname);
+                out.add(p.name, bname, r.llcReplayMpki, std::nan(""),
+                        "MPKI");
+                series[p.name].push_back(r.llcReplayMpki);
+            });
         }
     }
 
-    registerCase("fig08/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        const double base = avg(series["no-prefetch"]);
-        for (auto &kv : series) {
-            const double delta =
-                base > 0 ? (kv.second.empty()
-                                ? 0.0
-                                : (avg(kv.second) / base - 1) * 100)
-                         : 0.0;
-            addRow(kv.first, "replay MPKI vs none", delta,
-                   kv.first == std::string("no-prefetch") ? 0.0
-                                                          : std::nan(""),
-                   "%");
-        }
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 8 — LLC replay MPKI with prefetchers");
+    const double base = mean(series["no-prefetch"]);
+    for (auto &kv : series) {
+        const double delta =
+            base > 0 ? (kv.second.empty()
+                            ? 0.0
+                            : (mean(kv.second) / base - 1) * 100)
+                     : 0.0;
+        out.add(kv.first, "replay MPKI vs none", delta,
+                kv.first == std::string("no-prefetch") ? 0.0
+                                                       : std::nan(""),
+                "%");
+    }
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig08PrefetcherReplay = {
+    "fig08_prefetcher_replay",
+    "Fig. 8 — LLC replay MPKI with prefetchers", points, reduce};
+
+} // namespace tacbench

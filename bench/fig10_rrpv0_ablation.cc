@@ -8,14 +8,11 @@
  * Compares, against the plain baseline: (a) the correct T-DRRIP/T-SHiP
  * insertion (translations 0, replays evict-fast) and (b) the ablated
  * RRPV0-for-both variant. The paper reports (b) losing performance.
- *
- * The 18 points (6 benchmarks x {base, correct, ablated}) are registered
- * up front and executed by the parallel sweep runner.
  */
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
 namespace {
 
@@ -40,58 +37,52 @@ ablatedConfig()
     return cfg;
 }
 
-} // namespace
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii, Benchmark::bf};
 
-int
-main(int argc, char **argv)
+void
+points(SweepRunner &sw)
 {
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii, Benchmark::bf};
+    addEach(sw, "base", baselineConfig(), kSubset);
+    addEach(sw, "fig10/T", correctConfig(), kSubset);
+    addEach(sw, "fig10/ablate", ablatedConfig(), kSubset);
+}
 
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
     std::vector<double> good, bad;
-
-    for (Benchmark b : subset) {
+    for (Benchmark b : kSubset) {
         const std::string name = benchmarkName(b);
-        registerPoint("base/" + name, baselineConfig(), b);
-        registerPoint("fig10/T/" + name, correctConfig(), b);
-        registerPoint("fig10/ablate/" + name, ablatedConfig(), b);
-    }
-
-    for (Benchmark b : subset) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig10/" + name, [b, name, &good, &bad] {
-            const RunResult &base =
-                cachedRun("base/" + name, baselineConfig(), b);
-            const RunResult &tRes =
-                cachedRun("fig10/T/" + name, correctConfig(), b);
-            const RunResult &aRes =
-                cachedRun("fig10/ablate/" + name, ablatedConfig(), b);
+        out.group([&] {
+            const RunResult &base = out.at("base/" + name);
+            const RunResult &tRes = out.at("fig10/T/" + name);
+            const RunResult &aRes = out.at("fig10/ablate/" + name);
 
             const double sGood = (speedup(base, tRes) - 1) * 100;
             const double sBad = (speedup(base, aRes) - 1) * 100;
-            addRow("T-insertion (correct)", name, sGood, std::nan(""),
-                   "%");
-            addRow("RRPV0-for-replays (ablated)", name, sBad,
-                   std::nan(""), "%");
+            out.add("T-insertion (correct)", name, sGood, std::nan(""),
+                    "%");
+            out.add("RRPV0-for-replays (ablated)", name, sBad,
+                    std::nan(""), "%");
             good.push_back(sGood);
             bad.push_back(sBad);
         });
     }
 
-    registerCase("fig10/summary", [&good, &bad] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        addRow("T-insertion (correct)", "suite avg", avg(good),
-               std::nan(""), "% (paper: positive)");
-        addRow("RRPV0-for-replays (ablated)", "suite avg", avg(bad),
-               std::nan(""), "% (paper: degradation vs correct)");
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 10 — RRPV=0 insertion for replays (ablation)");
+    out.add("T-insertion (correct)", "suite avg", mean(good), std::nan(""),
+            "% (paper: positive)");
+    out.add("RRPV0-for-replays (ablated)", "suite avg", mean(bad),
+            std::nan(""), "% (paper: degradation vs correct)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig10Rrpv0Ablation = {
+    "fig10_rrpv0_ablation",
+    "Fig. 10 — RRPV=0 insertion for replays (ablation)", points, reduce};
+
+} // namespace tacbench

@@ -9,66 +9,74 @@
  * pushing the on-chip translation hit rate to ~99%.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Variant
 {
-    struct Variant
-    {
-        const char *name;
-        PolicyKind kind;
-        bool newSig;
-        bool tr0;
-    };
-    const Variant variants[] = {
-        {"SHiP", PolicyKind::SHiP, false, false},
-        {"SHiP+NewSign", PolicyKind::SHiP, true, false},
-        {"T-SHiP", PolicyKind::SHiP, true, true},
-        {"Hawkeye", PolicyKind::Hawkeye, false, false},
-        {"Hawkeye+NewSign", PolicyKind::Hawkeye, true, false},
-        {"T-Hawkeye", PolicyKind::Hawkeye, true, true},
-    };
+    const char *name;
+    PolicyKind kind;
+    bool newSig;
+    bool tr0;
+};
+const Variant kVariants[] = {
+    {"SHiP", PolicyKind::SHiP, false, false},
+    {"SHiP+NewSign", PolicyKind::SHiP, true, false},
+    {"T-SHiP", PolicyKind::SHiP, true, true},
+    {"Hawkeye", PolicyKind::Hawkeye, false, false},
+    {"Hawkeye+NewSign", PolicyKind::Hawkeye, true, false},
+    {"T-Hawkeye", PolicyKind::Hawkeye, true, true},
+};
 
-    const Benchmark subset[] = {Benchmark::canneal, Benchmark::mcf,
-                                Benchmark::cc, Benchmark::pr,
-                                Benchmark::radii, Benchmark::tc};
+const Benchmark kSubset[] = {Benchmark::canneal, Benchmark::mcf,
+                             Benchmark::cc, Benchmark::pr,
+                             Benchmark::radii, Benchmark::tc};
 
-    static std::map<std::string, std::vector<double>> series;
+void
+points(SweepRunner &sw)
+{
+    for (const Variant &v : kVariants) {
+        SystemConfig cfg = baselineConfig();
+        cfg.llcPolicy = v.kind;
+        cfg.llcOpts.newSignatures = v.newSig;
+        cfg.llcOpts.translationRrpv0 = v.tr0;
+        addEach(sw, std::string("fig12/") + v.name, cfg, kSubset);
+    }
+}
 
-    for (const Variant &v : variants) {
-        for (Benchmark b : subset) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const Variant &v : kVariants) {
+        const std::string pre = std::string("fig12/") + v.name + "/";
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Variant vv = v;
-            registerCase(std::string("fig12/") + v.name + "/" + bname,
-                         [vv, b, bname] {
-                             SystemConfig cfg = baselineConfig();
-                             cfg.llcPolicy = vv.kind;
-                             cfg.llcOpts.newSignatures = vv.newSig;
-                             cfg.llcOpts.translationRrpv0 = vv.tr0;
-                             RunResult r = runBenchmark(cfg, b);
-                             addRow(vv.name, bname, r.llcPtl1Mpki,
-                                    std::nan(""), "MPKI");
-                             series[vv.name].push_back(r.llcPtl1Mpki);
-                         });
+            out.group([&] {
+                const RunResult &r = out.at(pre + bname);
+                out.add(v.name, bname, r.llcPtl1Mpki, std::nan(""), "MPKI");
+                series[v.name].push_back(r.llcPtl1Mpki);
+            });
         }
     }
 
-    registerCase("fig12/summary", [] {
-        auto avg = [](const std::vector<double> &v) {
-            double s = 0;
-            for (double x : v)
-                s += x;
-            return v.empty() ? 0.0 : s / double(v.size());
-        };
-        for (auto &kv : series)
-            addRow(kv.first, "suite avg", avg(kv.second), std::nan(""),
-                   "MPKI (paper: SHiP > NewSign > T-SHiP)");
-    });
-
-    return benchMain(
-        argc, argv,
-        "Fig. 12 — LLC translation MPKI: signatures and T-insertion");
+    for (auto &kv : series)
+        out.add(kv.first, "suite avg", mean(kv.second), std::nan(""),
+                "MPKI (paper: SHiP > NewSign > T-SHiP)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig12Newsign = {
+    "fig12_newsign",
+    "Fig. 12 — LLC translation MPKI: signatures and T-insertion", points,
+    reduce};
+
+} // namespace tacbench

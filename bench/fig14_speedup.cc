@@ -8,9 +8,9 @@
  * +ATP +4.8%, +TEMPO +5.1% (max +10.6%); >98% of leaf translations hit
  * on-chip with the full scheme.
  *
- * All 45 simulation points (9 baselines + 4 steps x 9 benchmarks) are
- * registered up front and executed by the parallel sweep runner; the
- * benchmark cases only read memoized results.
+ * fig14_vm reruns the full scheme against the baseline under the VM
+ * axes: does it still pay off when huge pages shrink the walk burden,
+ * or when nesting multiplies it?
  */
 
 #include <algorithm>
@@ -18,7 +18,7 @@
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
 namespace {
 
@@ -36,12 +36,6 @@ const Step kSteps[] = {
     {"+TEMPO", 5.1, {true, true, false, true, true}},
 };
 
-std::string
-stepKey(const Step &s, const std::string &bname)
-{
-    return std::string("fig14/") + s.name + "/" + bname;
-}
-
 SystemConfig
 stepConfig(const Step &s)
 {
@@ -50,100 +44,103 @@ stepConfig(const Step &s)
     return cfg;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+points(SweepRunner &sw)
 {
-    static std::map<std::string, std::vector<double>> series;
-    static double onChip = 0;
-
-    // Phase 1: register every point for the parallel sweep.
-    for (Benchmark b : kAllBenchmarks)
-        registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
+    addEach(sw, "base", baselineConfig(), kAllBenchmarks);
     for (const Step &s : kSteps)
-        for (Benchmark b : kAllBenchmarks)
-            registerPoint(stepKey(s, benchmarkName(b)), stepConfig(s), b);
+        addEach(sw, std::string("fig14/") + s.name, stepConfig(s),
+                kAllBenchmarks);
+}
 
-    // Optional VM axes: does the full scheme still pay off when huge
-    // pages shrink the walk burden, or when nesting multiplies it?
-    if (vmAxesRequested()) {
-        for (const VmAxis &a : vmAxes()) {
-            for (Benchmark b : kAllBenchmarks) {
-                const std::string bname = benchmarkName(b);
-                registerPoint("vm/" + std::string(a.name) + "/base/" +
-                                  bname,
-                              withVmAxis(baselineConfig(), a), b);
-                registerPoint("vm/" + std::string(a.name) + "/prop/" +
-                                  bname,
-                              withVmAxis(proposedConfig(), a), b);
-            }
-        }
-    }
-
-    // Phase 2/3 (in benchMain): execute the sweep, then these cases
-    // fetch the memoized results and derive the figure's rows.
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    double onChip = 0;
     for (const Step &s : kSteps) {
+        const std::string pre = std::string("fig14/") + s.name + "/";
         for (Benchmark b : kAllBenchmarks) {
             const std::string bname = benchmarkName(b);
-            Step step = s;
-            registerCase(stepKey(s, bname), [step, b, bname] {
-                const RunResult &base =
-                    cachedRun("base/" + bname, baselineConfig(), b);
-                const RunResult &r =
-                    cachedRun(stepKey(step, bname), stepConfig(step), b);
+            out.group([&] {
+                const RunResult &base = out.at("base/" + bname);
+                const RunResult &r = out.at(pre + bname);
                 const double sp = speedup(base, r);
-                addRow(step.name, bname, (sp - 1) * 100, std::nan(""),
-                       "%");
-                series[step.name].push_back(sp);
-                if (step.opts.tempo)
+                out.add(s.name, bname, (sp - 1) * 100, std::nan(""), "%");
+                series[s.name].push_back(sp);
+                if (s.opts.tempo)
                     onChip += r.leafOnChipHitRate;
             });
         }
     }
 
-    if (vmAxesRequested()) {
-        for (const VmAxis &a : vmAxes()) {
-            const VmAxis axis = a;
-            registerCase("fig14/vm/" + std::string(a.name), [axis] {
-                std::vector<double> sp;
-                double mpki = 0;
-                for (Benchmark b : kAllBenchmarks) {
-                    const std::string bname = benchmarkName(b);
-                    const std::string pre =
-                        "vm/" + std::string(axis.name) + "/";
-                    const RunResult &base =
-                        cachedRun(pre + "base/" + bname,
-                                  withVmAxis(baselineConfig(), axis), b);
-                    const RunResult &prop =
-                        cachedRun(pre + "prop/" + bname,
-                                  withVmAxis(proposedConfig(), axis), b);
-                    sp.push_back(speedup(base, prop));
-                    mpki += base.stlbMpki;
-                }
-                addRow(std::string("vm:") + axis.name, "geomean",
-                       (geomean(sp) - 1) * 100, std::nan(""), "%");
-                addRow(std::string("vm:") + axis.name, "base STLB MPKI",
-                       mpki / 9.0, std::nan(""), "");
-            });
-        }
+    for (const Step &s : kSteps) {
+        const auto &v = series[s.name];
+        out.add(s.name, "geomean", (geomean(v) - 1) * 100, s.paperAvg, "%");
+        double mx = 0;
+        for (double x : v)
+            mx = std::max(mx, (x - 1) * 100);
+        if (std::string(s.name) == "+TEMPO")
+            out.add(s.name, "max", mx, 10.6, "%");
     }
-
-    registerCase("fig14/summary", [] {
-        for (const Step &s : kSteps) {
-            const auto &v = series[s.name];
-            addRow(s.name, "geomean", (geomean(v) - 1) * 100, s.paperAvg,
-                   "%");
-            double mx = 0;
-            for (double x : v)
-                mx = std::max(mx, (x - 1) * 100);
-            if (std::string(s.name) == "+TEMPO")
-                addRow(s.name, "max", mx, 10.6, "%");
-        }
-        addRow("leaf on-chip hit rate", "suite avg",
-               onChip / 9.0 * 100, 98.0, "%");
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 14 — speedup with the paper's enhancements");
+    out.add("leaf on-chip hit rate", "suite avg", onChip / 9.0 * 100, 98.0,
+            "%");
+    return out.take();
 }
+
+const VmAxis kVmAxes[] = {
+    {"thp50", 0.5, 0.0, false},
+    {"thp", 1.0, 0.0, false},
+    {"nested", 0.0, 0.0, true},
+};
+
+void
+vmPoints(SweepRunner &sw)
+{
+    for (const VmAxis &a : kVmAxes) {
+        const std::string pre = std::string("vm/") + a.name;
+        addEach(sw, pre + "/base", withVmAxis(baselineConfig(), a),
+                kAllBenchmarks);
+        addEach(sw, pre + "/prop", withVmAxis(proposedConfig(), a),
+                kAllBenchmarks);
+    }
+}
+
+std::vector<ReportRow>
+vmReduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    for (const VmAxis &a : kVmAxes) {
+        const std::string pre = std::string("vm/") + a.name;
+        out.group([&] {
+            std::vector<double> sp;
+            double mpki = 0;
+            for (Benchmark b : kAllBenchmarks) {
+                const std::string bname = benchmarkName(b);
+                const RunResult &base = out.at(pre + "/base/" + bname);
+                const RunResult &prop = out.at(pre + "/prop/" + bname);
+                sp.push_back(speedup(base, prop));
+                mpki += base.stlbMpki;
+            }
+            out.add(std::string("vm:") + a.name, "geomean",
+                    (geomean(sp) - 1) * 100, std::nan(""), "%");
+            out.add(std::string("vm:") + a.name, "base STLB MPKI",
+                    mpki / 9.0, std::nan(""), "");
+        });
+    }
+    return out.take();
+}
+
+} // namespace
+
+extern const Figure fig14Speedup = {
+    "fig14_speedup", "Fig. 14 — speedup with the paper's enhancements",
+    points, reduce};
+
+extern const Figure fig14Vm = {
+    "fig14_vm",
+    "Fig. 14 VM axes — proposal speedup under THP and nested translation",
+    vmPoints, vmReduce};
+
+} // namespace tacbench

@@ -9,65 +9,71 @@
  * prefetchers do not cover the irregular (replay) misses.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Pf
 {
-    struct Pf
-    {
-        const char *name;
-        PrefetcherKind l1;
-        PrefetcherKind l2;
-        double paperAvg;
-    };
-    const Pf pfs[] = {
-        {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None, 11.2},
-        {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo, 7.5},
-        {"SPP", PrefetcherKind::None, PrefetcherKind::Spp, 6.4},
-        {"ISB", PrefetcherKind::None, PrefetcherKind::Isb, 7.2},
-    };
+    const char *name;
+    PrefetcherKind l1;
+    PrefetcherKind l2;
+    double paperAvg;
+};
+const Pf kPfs[] = {
+    {"IPCP", PrefetcherKind::Ipcp, PrefetcherKind::None, 11.2},
+    {"Bingo", PrefetcherKind::None, PrefetcherKind::Bingo, 7.5},
+    {"SPP", PrefetcherKind::None, PrefetcherKind::Spp, 6.4},
+    {"ISB", PrefetcherKind::None, PrefetcherKind::Isb, 7.2},
+};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr, Benchmark::radii};
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc,
+                             Benchmark::pr, Benchmark::radii};
 
-    static std::map<std::string, std::vector<double>> series;
+void
+points(SweepRunner &sw)
+{
+    for (const Pf &p : kPfs) {
+        SystemConfig base = baselineConfig();
+        base.l1Prefetcher = p.l1;
+        base.l2Prefetcher = p.l2;
+        addProposalPairs(sw, std::string("fig15/") + p.name, base, kSubset);
+    }
+}
 
-    for (const Pf &p : pfs) {
-        for (Benchmark b : subset) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::string, std::vector<double>> series;
+    for (const Pf &p : kPfs) {
+        const std::string pre = std::string("fig15/") + p.name;
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Pf pf = p;
-            registerCase(std::string("fig15/") + p.name + "/" + bname,
-                         [pf, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.l1Prefetcher = pf.l1;
-                             base.l2Prefetcher = pf.l2;
-                             RunResult rb = runBenchmark(base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow(pf.name, bname, (sp - 1) * 100,
-                                    std::nan(""), "%");
-                             series[pf.name].push_back(sp);
-                         });
+            out.group([&] {
+                const double sp = speedup(out.at(pre + "/base/" + bname),
+                                          out.at(pre + "/prop/" + bname));
+                out.add(p.name, bname, (sp - 1) * 100, std::nan(""), "%");
+                series[p.name].push_back(sp);
+            });
         }
     }
 
-    registerCase("fig15/summary", [&pfs] {
-        for (const Pf &p : pfs)
-            addRow(p.name, "geomean",
-                   (geomean(series[p.name]) - 1) * 100, p.paperAvg, "%");
-    });
-
-    return benchMain(
-        argc, argv,
-        "Fig. 15 — proposal speedup on prefetching baselines");
+    for (const Pf &p : kPfs)
+        out.add(p.name, "geomean", (geomean(series[p.name]) - 1) * 100,
+                p.paperAvg, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig15WithPrefetchers = {
+    "fig15_with_prefetchers",
+    "Fig. 15 — proposal speedup on prefetching baselines", points, reduce};
+
+} // namespace tacbench

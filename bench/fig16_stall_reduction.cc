@@ -7,64 +7,53 @@
  * Paper reference points (suite average): translation-stall cycles
  * -28.76%, replay-stall cycles -18.5%, combined -46.7% of the
  * translation+replay stall total; xalancbmk's stalls drop ~77%.
+ *
+ * fig16_vm reruns the comparison with nested (guest×host) translation:
+ * with 2D walks every STLB miss costs several times more cache
+ * references, so translation-stall savings should grow.
  */
 
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+points(SweepRunner &sw)
 {
-    std::vector<double> tRed, rRed, totRed;
+    addEach(sw, "base", baselineConfig(), kAllBenchmarks);
+    addEach(sw, "prop", proposedConfig(), kAllBenchmarks);
+}
+
+/** Stall reduction (%) from @p b0 to @p b1 cycles. */
+double
+reduction(std::uint64_t b0, std::uint64_t b1)
+{
+    return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
     std::uint64_t baseT = 0, baseR = 0, enhT = 0, enhR = 0;
-
-    // Phase 1: register the 18 points for the parallel sweep; the cases
-    // below fetch the memoized results through cachedRun.
     for (Benchmark b : kAllBenchmarks) {
         const std::string name = benchmarkName(b);
-        registerPoint("base/" + name, baselineConfig(), b);
-        registerPoint("prop/" + name, proposedConfig(), b);
-    }
-
-    // Optional nested-translation axis (TACSIM_VM_AXES=1): with 2D
-    // guest×host walks every STLB miss costs several times more cache
-    // references, so translation-stall savings should grow.
-    const VmAxis nestedAxis{"nested", 0.0, 0.0, true};
-    if (vmAxesRequested()) {
-        for (Benchmark b : kAllBenchmarks) {
-            const std::string name = benchmarkName(b);
-            registerPoint("vm/nested/base/" + name,
-                          withVmAxis(baselineConfig(), nestedAxis), b);
-            registerPoint("vm/nested/prop/" + name,
-                          withVmAxis(proposedConfig(), nestedAxis), b);
-        }
-    }
-
-    for (Benchmark b : kAllBenchmarks) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig16/" + name, [b, name, &tRed, &rRed, &totRed,
-                                       &baseT, &baseR, &enhT, &enhR] {
-            const RunResult &base =
-                cachedRun("base/" + name, baselineConfig(), b);
-            const RunResult &enh =
-                cachedRun("prop/" + name, proposedConfig(), b);
+        out.group([&] {
+            const RunResult &base = out.at("base/" + name);
+            const RunResult &enh = out.at("prop/" + name);
 
             auto red = [](double b0, double b1) {
                 return b0 > 0 ? (1.0 - b1 / b0) * 100 : 0.0;
             };
-            const double t =
-                red(double(base.stallT), double(enh.stallT));
-            const double r =
-                red(double(base.stallR), double(enh.stallR));
+            const double t = red(double(base.stallT), double(enh.stallT));
+            const double r = red(double(base.stallR), double(enh.stallR));
             const double tot = red(double(base.stallT + base.stallR),
                                    double(enh.stallT + enh.stallR));
-            addRow("T-stall reduction", name, t, std::nan(""), "%");
-            addRow("R-stall reduction", name, r, std::nan(""), "%");
-            addRow("T+R stall reduction", name, tot, std::nan(""), "%");
-            tRed.push_back(t);
-            rRed.push_back(r);
-            totRed.push_back(tot);
+            out.add("T-stall reduction", name, t, std::nan(""), "%");
+            out.add("R-stall reduction", name, r, std::nan(""), "%");
+            out.add("T+R stall reduction", name, tot, std::nan(""), "%");
             baseT += base.stallT;
             baseR += base.stallR;
             enhT += enh.stallT;
@@ -75,44 +64,58 @@ main(int argc, char **argv)
     // Suite aggregates are cycle-weighted (total stall cycles across the
     // suite): per-benchmark percentages over tiny T-stall denominators
     // would let one outlier dominate the mean.
-    registerCase("fig16/summary", [&baseT, &baseR, &enhT, &enhR] {
-        auto red = [](std::uint64_t b0, std::uint64_t b1) {
-            return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
-        };
-        addRow("T-stall reduction", "suite total", red(baseT, enhT),
-               28.76, "%");
-        addRow("R-stall reduction", "suite total", red(baseR, enhR),
-               18.5, "%");
-        addRow("T+R stall reduction", "suite total",
-               red(baseT + baseR, enhT + enhR), 46.7, "%");
-    });
-
-    if (vmAxesRequested()) {
-        registerCase("fig16/vm/nested", [nestedAxis] {
-            std::uint64_t bT = 0, bR = 0, eT = 0, eR = 0;
-            for (Benchmark b : kAllBenchmarks) {
-                const std::string name = benchmarkName(b);
-                const RunResult &base = cachedRun(
-                    "vm/nested/base/" + name,
-                    withVmAxis(baselineConfig(), nestedAxis), b);
-                const RunResult &enh = cachedRun(
-                    "vm/nested/prop/" + name,
-                    withVmAxis(proposedConfig(), nestedAxis), b);
-                bT += base.stallT;
-                bR += base.stallR;
-                eT += enh.stallT;
-                eR += enh.stallR;
-            }
-            auto red = [](std::uint64_t b0, std::uint64_t b1) {
-                return b0 ? (1.0 - double(b1) / double(b0)) * 100 : 0.0;
-            };
-            addRow("T-stall reduction", "nested suite", red(bT, eT),
-                   std::nan(""), "%");
-            addRow("T+R stall reduction", "nested suite",
-                   red(bT + bR, eT + eR), std::nan(""), "%");
-        });
-    }
-
-    return benchMain(argc, argv,
-                     "Fig. 16 — ROB stall-cycle reduction (T and R)");
+    out.add("T-stall reduction", "suite total", reduction(baseT, enhT),
+            28.76, "%");
+    out.add("R-stall reduction", "suite total", reduction(baseR, enhR),
+            18.5, "%");
+    out.add("T+R stall reduction", "suite total",
+            reduction(baseT + baseR, enhT + enhR), 46.7, "%");
+    return out.take();
 }
+
+const VmAxis kNested{"nested", 0.0, 0.0, true};
+
+void
+vmPoints(SweepRunner &sw)
+{
+    addEach(sw, "vm/nested/base", withVmAxis(baselineConfig(), kNested),
+            kAllBenchmarks);
+    addEach(sw, "vm/nested/prop", withVmAxis(proposedConfig(), kNested),
+            kAllBenchmarks);
+}
+
+std::vector<ReportRow>
+vmReduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    out.group([&] {
+        std::uint64_t bT = 0, bR = 0, eT = 0, eR = 0;
+        for (Benchmark b : kAllBenchmarks) {
+            const std::string name = benchmarkName(b);
+            const RunResult &base = out.at("vm/nested/base/" + name);
+            const RunResult &enh = out.at("vm/nested/prop/" + name);
+            bT += base.stallT;
+            bR += base.stallR;
+            eT += enh.stallT;
+            eR += enh.stallR;
+        }
+        out.add("T-stall reduction", "nested suite", reduction(bT, eT),
+                std::nan(""), "%");
+        out.add("T+R stall reduction", "nested suite",
+                reduction(bT + bR, eT + eR), std::nan(""), "%");
+    });
+    return out.take();
+}
+
+} // namespace
+
+extern const Figure fig16StallReduction = {
+    "fig16_stall_reduction",
+    "Fig. 16 — ROB stall-cycle reduction (T and R)", points, reduce};
+
+extern const Figure fig16Vm = {
+    "fig16_vm",
+    "Fig. 16 VM axis — ROB stall-cycle reduction under nested translation",
+    vmPoints, vmReduce};
+
+} // namespace tacbench

@@ -7,9 +7,9 @@
  * The mix table is generated combinatorially: all 45 unordered pairs
  * (including self-pairs) of the 9-benchmark suite, with the SMT machine
  * built from the declarative topology string "cores=1,smt=2"
- * (sim/topology.hh). Solo references and both mix policies are all
- * registered up front and executed by the parallel sweep runner; the
- * pairs the paper reports carry its reference numbers.
+ * (sim/topology.hh): 9 baseline solos (the harmonic denominator) plus
+ * both policies for each pair, 99 points. The pairs the paper reports
+ * carry its reference numbers.
  *
  * Paper reference points: suite average +6.3%, max +12.6% (pr-cc);
  * radii-bf +6.5%, tc-pr +11.1%, canneal-xalancbmk +3.5%,
@@ -22,7 +22,7 @@
 #include "bench_common.hh"
 #include "sim/topology.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
 namespace {
 
@@ -47,71 +47,67 @@ paperGain(B t0, B t1)
     return it == known.end() ? std::nan("") : it->second;
 }
 
-} // namespace
+std::string
+pairName(B t0, B t1)
+{
+    return benchmarkName(t0) + "-" + benchmarkName(t1);
+}
 
-int
-main(int argc, char **argv)
+/** Call @p fn(t0, t1) for every unordered pair of the suite, self-pairs
+ *  included, in suite order. */
+template <typename Fn>
+void
+forEachPair(Fn &&fn)
+{
+    for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i)
+        for (std::size_t j = i; j < kAllBenchmarks.size(); ++j)
+            fn(kAllBenchmarks[i], kAllBenchmarks[j]);
+}
+
+void
+points(SweepRunner &sw)
 {
     const SystemConfig smtBase =
         configFromTopology("cores=1,smt=2", baselineConfig());
-    SystemConfig smtEnh = smtBase;
-    TranslationAwareOptions o;
-    o.tempo = true;
-    applyTranslationAware(smtEnh, o);
+    const SystemConfig smtEnh = withProposal(smtBase);
 
-    // Phase 1: 9 solos (baseline, for the harmonic denominator) plus
-    // both policies for each of the 45 unordered pairs: 99 points.
-    for (B b : kAllBenchmarks)
-        registerPoint("base/" + benchmarkName(b), baselineConfig(), b);
-    for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
-        for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
-            const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
-            const std::string name =
-                benchmarkName(t0) + "-" + benchmarkName(t1);
-            registerMixPoint("smt/base/" + name, smtBase, {t0, t1});
-            registerMixPoint("smt/enh/" + name, smtEnh, {t0, t1});
-        }
-    }
+    addEach(sw, "base", baselineConfig(), kAllBenchmarks);
+    forEachPair([&](B t0, B t1) {
+        sw.addMix("smt/base/" + pairName(t0, t1), smtBase, {t0, t1});
+        sw.addMix("smt/enh/" + pairName(t0, t1), smtEnh, {t0, t1});
+    });
+}
 
-    static std::vector<double> gains;
-
-    for (std::size_t i = 0; i < kAllBenchmarks.size(); ++i) {
-        for (std::size_t j = i; j < kAllBenchmarks.size(); ++j) {
-            const B t0 = kAllBenchmarks[i], t1 = kAllBenchmarks[j];
-            const std::string name =
-                benchmarkName(t0) + "-" + benchmarkName(t1);
-            registerCase("fig17/" + name, [t0, t1, name] {
-                const RunResult &solo0 =
-                    sweep().result("base/" + benchmarkName(t0));
-                const RunResult &solo1 =
-                    sweep().result("base/" + benchmarkName(t1));
-                const std::vector<double> soloIpc = {solo0.ipc,
-                                                     solo1.ipc};
-
-                const RunResult &mixBase =
-                    sweep().result("smt/base/" + name);
-                const RunResult &mixEnh =
-                    sweep().result("smt/enh/" + name);
-
-                const double hBase = harmonicSpeedup(soloIpc, mixBase);
-                const double hEnh = harmonicSpeedup(soloIpc, mixEnh);
-                const double gain =
-                    hBase > 0 ? (hEnh / hBase - 1) * 100 : 0.0;
-                addRow("SMT harmonic-speedup gain", name, gain,
-                       paperGain(t0, t1), "%");
-                gains.push_back(gain);
-            });
-        }
-    }
-
-    registerCase("fig17/summary", [] {
-        double s = 0;
-        for (double x : gains)
-            s += x;
-        addRow("SMT harmonic-speedup gain", "pair avg",
-               gains.empty() ? 0 : s / double(gains.size()), 6.3, "%");
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::vector<double> gains;
+    forEachPair([&](B t0, B t1) {
+        const std::string name = pairName(t0, t1);
+        out.group([&] {
+            const std::vector<double> soloIpc = {
+                out.at("base/" + benchmarkName(t0)).ipc,
+                out.at("base/" + benchmarkName(t1)).ipc};
+            const double hBase =
+                harmonicSpeedup(soloIpc, out.at("smt/base/" + name));
+            const double hEnh =
+                harmonicSpeedup(soloIpc, out.at("smt/enh/" + name));
+            const double gain = hBase > 0 ? (hEnh / hBase - 1) * 100 : 0.0;
+            out.add("SMT harmonic-speedup gain", name, gain,
+                    paperGain(t0, t1), "%");
+            gains.push_back(gain);
+        });
     });
 
-    return benchMain(argc, argv,
-                     "Fig. 17 — 2-way SMT speedup, all 45 pairs");
+    out.add("SMT harmonic-speedup gain", "pair avg", mean(gains), 6.3, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig17Smt = {"fig17_smt",
+                         "Fig. 17 — 2-way SMT speedup, all 45 pairs",
+                         points, reduce};
+
+} // namespace tacbench

@@ -7,44 +7,63 @@
  * misses.
  */
 
+#include <iterator>
+
 #include "bench_common.hh"
-#include "sim/system.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+/** STLB recall fraction (%) beyond 50, one slot per benchmark of the
+ *  suite, filled by its custom point. */
+double gOver50[std::size(kAllBenchmarks)];
+
+std::string
+recallKey(Benchmark b)
 {
-    std::vector<double> over50;
+    return "custom/fig18/" + benchmarkName(b);
+}
 
-    for (Benchmark b : kAllBenchmarks) {
-        const std::string name = benchmarkName(b);
-        registerCase("fig18/" + name, [b, name, &over50] {
-            SystemConfig cfg = baselineConfig();
-            cfg.profileStlbRecall = true;
-            std::vector<std::unique_ptr<Workload>> w;
-            w.push_back(makeWorkload(b, cfg.seed));
-            System sys(cfg, std::move(w));
-            sys.warmup(defaultWarmup());
-            sys.run(defaultInstructions());
-
+void
+points(SweepRunner &sw)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.profileStlbRecall = true;
+    for (std::size_t i = 0; i < std::size(kAllBenchmarks); ++i) {
+        addProfiled(sw, recallKey(kAllBenchmarks[i]), cfg,
+                    kAllBenchmarks[i], [slot = &gOver50[i]](System &sys) {
             const Histogram &h =
                 sys.stlb().recallProfiler()->translationHist();
-            const double f = (1 - h.fractionAtOrBelow(50)) * 100;
-            addRow("STLB recall>50", name, f, std::nan(""), "%");
-            over50.push_back(f);
+            *slot = (1 - h.fractionAtOrBelow(50)) * 100;
+        });
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::vector<double> over50;
+    for (std::size_t i = 0; i < std::size(kAllBenchmarks); ++i) {
+        const std::string name = benchmarkName(kAllBenchmarks[i]);
+        out.group([&] {
+            // Drops this group when the point failed.
+            out.at(recallKey(kAllBenchmarks[i]));
+            out.add("STLB recall>50", name, gOver50[i], std::nan(""), "%");
+            over50.push_back(gOver50[i]);
         });
     }
 
-    registerCase("fig18/summary", [&over50] {
-        double s = 0;
-        for (double x : over50)
-            s += x;
-        addRow("STLB recall>50", "suite avg",
-               over50.empty() ? 0 : s / double(over50.size()), 40.0,
-               "% (paper: >40%)");
-    });
-
-    return benchMain(argc, argv,
-                     "Fig. 18 — recall distance of translations at STLB");
+    out.add("STLB recall>50", "suite avg", mean(over50), 40.0,
+            "% (paper: >40%)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig18StlbRecall = {
+    "fig18_stlb_recall",
+    "Fig. 18 — recall distance of translations at STLB", points, reduce};
+
+} // namespace tacbench

@@ -9,53 +9,63 @@
  * (STLB MPKI 0.39 at 4096 entries).
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+const std::uint32_t kSizes[] = {512, 1024, 2048, 4096};
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc, Benchmark::pr};
+
+std::string
+series(std::uint32_t entries)
 {
-    const std::uint32_t sizes[] = {512, 1024, 2048, 4096};
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr};
+    return "STLB=" + std::to_string(entries);
+}
 
-    static std::map<std::uint32_t, std::vector<double>> series;
+void
+points(SweepRunner &sw)
+{
+    for (std::uint32_t entries : kSizes) {
+        SystemConfig base = baselineConfig();
+        base.stlbEntries = entries;
+        addProposalPairs(sw, "fig19/" + series(entries), base, kSubset);
+    }
+}
 
-    for (std::uint32_t entries : sizes) {
-        for (Benchmark b : subset) {
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::uint32_t, std::vector<double>> speedups;
+    for (std::uint32_t entries : kSizes) {
+        const std::string pre = "fig19/" + series(entries);
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            registerCase("fig19/stlb" + std::to_string(entries) + "/" +
-                             bname,
-                         [entries, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.stlbEntries = entries;
-                             RunResult rb = runBenchmark(base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("STLB=" + std::to_string(entries),
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "% (stlbMPKI " +
-                                        std::to_string(rb.stlbMpki) +
-                                        ")");
-                             series[entries].push_back(sp);
-                         });
+            out.group([&] {
+                const RunResult &rb = out.at(pre + "/base/" + bname);
+                const double sp = speedup(rb, out.at(pre + "/prop/" + bname));
+                out.add(series(entries), bname, (sp - 1) * 100, std::nan(""),
+                        "% (stlbMPKI " + std::to_string(rb.stlbMpki) + ")");
+                speedups[entries].push_back(sp);
+            });
         }
     }
 
-    registerCase("fig19/summary", [&sizes] {
-        for (std::uint32_t e : sizes)
-            addRow("STLB=" + std::to_string(e), "geomean",
-                   (geomean(series[e]) - 1) * 100, std::nan(""),
-                   "% (paper: positive at all sizes, shrinking)");
-    });
-
-    return benchMain(argc, argv, "Fig. 19 — STLB size sensitivity");
+    for (std::uint32_t e : kSizes)
+        out.add(series(e), "geomean", (geomean(speedups[e]) - 1) * 100,
+                std::nan(""), "% (paper: positive at all sizes, shrinking)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig19StlbSensitivity = {
+    "fig19_stlb_sensitivity", "Fig. 19 — STLB size sensitivity", points,
+    reduce};
+
+} // namespace tacbench

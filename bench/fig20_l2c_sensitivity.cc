@@ -9,63 +9,72 @@
  * keeps gaining; mcf's gain shrinks once translations fit.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Geom
 {
-    struct Geom
-    {
-        std::uint32_t sizeKb;
-        std::uint32_t ways;
-        Cycle latency;
-    };
-    const Geom geoms[] = {
-        {256, 8, 9}, {512, 8, 10}, {768, 12, 11}, {1024, 16, 12}};
+    std::uint32_t sizeKb;
+    std::uint32_t ways;
+    Cycle latency;
+};
+const Geom kGeoms[] = {
+    {256, 8, 9}, {512, 8, 10}, {768, 12, 11}, {1024, 16, 12}};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr};
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc, Benchmark::pr};
 
-    static std::map<std::uint32_t, std::vector<double>> series;
+std::string
+series(const Geom &g)
+{
+    return "L2C=" + std::to_string(g.sizeKb) + "KB";
+}
 
-    for (const Geom &g : geoms) {
-        for (Benchmark b : subset) {
+void
+points(SweepRunner &sw)
+{
+    for (const Geom &g : kGeoms) {
+        SystemConfig base = baselineConfig();
+        base.l2.sizeBytes = g.sizeKb * 1024;
+        base.l2.ways = g.ways;
+        base.l2.latency = g.latency;
+        addProposalPairs(sw, "fig20/" + series(g), base, kSubset);
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::uint32_t, std::vector<double>> speedups;
+    for (const Geom &g : kGeoms) {
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Geom gg = g;
-            registerCase("fig20/l2_" + std::to_string(g.sizeKb) + "K/" +
-                             bname,
-                         [gg, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.l2.sizeBytes = gg.sizeKb * 1024;
-                             base.l2.ways = gg.ways;
-                             base.l2.latency = gg.latency;
-                             RunResult rb = runBenchmark(base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("L2C=" + std::to_string(gg.sizeKb) +
-                                        "KB",
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "%");
-                             series[gg.sizeKb].push_back(sp);
-                         });
+            const std::string pre = "fig20/" + series(g);
+            out.group([&] {
+                const double sp = speedup(out.at(pre + "/base/" + bname),
+                                          out.at(pre + "/prop/" + bname));
+                out.add(series(g), bname, (sp - 1) * 100, std::nan(""), "%");
+                speedups[g.sizeKb].push_back(sp);
+            });
         }
     }
 
-    registerCase("fig20/summary", [&geoms] {
-        for (const Geom &g : geoms)
-            addRow("L2C=" + std::to_string(g.sizeKb) + "KB", "geomean",
-                   (geomean(series[g.sizeKb]) - 1) * 100, std::nan(""),
-                   "% (paper: flat to declining past 512KB)");
-    });
-
-    return benchMain(argc, argv, "Fig. 20 — L2C size sensitivity");
+    for (const Geom &g : kGeoms)
+        out.add(series(g), "geomean", (geomean(speedups[g.sizeKb]) - 1) * 100,
+                std::nan(""), "% (paper: flat to declining past 512KB)");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig20L2cSensitivity = {
+    "fig20_l2c_sensitivity", "Fig. 20 — L2C size sensitivity", points,
+    reduce};
+
+} // namespace tacbench

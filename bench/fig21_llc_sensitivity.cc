@@ -8,63 +8,71 @@
  * gaining because its data set still does not fit.
  */
 
+#include <map>
+
 #include "bench_common.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
-int
-main(int argc, char **argv)
+namespace {
+
+struct Geom
 {
-    struct Geom
-    {
-        std::uint32_t sizeMb;
-        Cycle latency;
-        double paperAvg;
-    };
-    const Geom geoms[] = {
-        {1, 18, 6.3}, {2, 20, 5.1}, {4, 22, std::nan("")}, {8, 24, 4.2}};
+    std::uint32_t sizeMb;
+    Cycle latency;
+    double paperAvg;
+};
+const Geom kGeoms[] = {
+    {1, 18, 6.3}, {2, 20, 5.1}, {4, 22, std::nan("")}, {8, 24, 4.2}};
 
-    const Benchmark subset[] = {Benchmark::xalancbmk, Benchmark::canneal,
-                                Benchmark::mcf, Benchmark::cc,
-                                Benchmark::pr};
+const Benchmark kSubset[] = {Benchmark::xalancbmk, Benchmark::canneal,
+                             Benchmark::mcf, Benchmark::cc, Benchmark::pr};
 
-    static std::map<std::uint32_t, std::vector<double>> series;
+std::string
+series(const Geom &g)
+{
+    return "LLC=" + std::to_string(g.sizeMb) + "MB";
+}
 
-    for (const Geom &g : geoms) {
-        for (Benchmark b : subset) {
+void
+points(SweepRunner &sw)
+{
+    for (const Geom &g : kGeoms) {
+        SystemConfig base = baselineConfig();
+        base.llcPerCore.sizeBytes = g.sizeMb * 1024 * 1024;
+        base.llcPerCore.latency = g.latency;
+        addProposalPairs(sw, "fig21/" + series(g), base, kSubset);
+    }
+}
+
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    std::map<std::uint32_t, std::vector<double>> speedups;
+    for (const Geom &g : kGeoms) {
+        for (Benchmark b : kSubset) {
             const std::string bname = benchmarkName(b);
-            Geom gg = g;
-            registerCase("fig21/llc_" + std::to_string(g.sizeMb) + "M/" +
-                             bname,
-                         [gg, b, bname] {
-                             SystemConfig base = baselineConfig();
-                             base.llcPerCore.sizeBytes =
-                                 gg.sizeMb * 1024 * 1024;
-                             base.llcPerCore.latency = gg.latency;
-                             RunResult rb = runBenchmark(base, b);
-
-                             SystemConfig enh = base;
-                             TranslationAwareOptions o;
-                             o.tempo = true;
-                             applyTranslationAware(enh, o);
-                             RunResult re = runBenchmark(enh, b);
-
-                             const double sp = speedup(rb, re);
-                             addRow("LLC=" + std::to_string(gg.sizeMb) +
-                                        "MB",
-                                    bname, (sp - 1) * 100, std::nan(""),
-                                    "%");
-                             series[gg.sizeMb].push_back(sp);
-                         });
+            const std::string pre = "fig21/" + series(g);
+            out.group([&] {
+                const double sp = speedup(out.at(pre + "/base/" + bname),
+                                          out.at(pre + "/prop/" + bname));
+                out.add(series(g), bname, (sp - 1) * 100, std::nan(""), "%");
+                speedups[g.sizeMb].push_back(sp);
+            });
         }
     }
 
-    registerCase("fig21/summary", [&geoms] {
-        for (const Geom &g : geoms)
-            addRow("LLC=" + std::to_string(g.sizeMb) + "MB", "geomean",
-                   (geomean(series[g.sizeMb]) - 1) * 100, g.paperAvg,
-                   "%");
-    });
-
-    return benchMain(argc, argv, "Fig. 21 — LLC size sensitivity");
+    for (const Geom &g : kGeoms)
+        out.add(series(g), "geomean", (geomean(speedups[g.sizeMb]) - 1) * 100,
+                g.paperAvg, "%");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure fig21LlcSensitivity = {
+    "fig21_llc_sensitivity", "Fig. 21 — LLC size sensitivity", points,
+    reduce};
+
+} // namespace tacbench

@@ -8,7 +8,7 @@
  * TopologySpec strings (sim/topology.hh): sliced LLC with a ring-hop
  * latency, per-core MSHR quotas and bandwidth tokens at the LLC, and
  * auto-derived DRAM channels. 4 core counts x 15 mixes x 2 policies =
- * 120 sweep points, all registered up front on the parallel runner.
+ * 120 sweep points.
  *
  * Metrics per (core count, mix): weighted speedup (mean of per-thread
  * IPC ratios) and harmonic speedup of the proposal, both against the
@@ -22,13 +22,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "bench_common.hh"
 #include "common/rng.hh"
 #include "sim/topology.hh"
 
-using namespace tacbench;
+namespace tacbench {
 
 namespace {
 
@@ -129,53 +130,45 @@ pointKey(unsigned cores, const std::string &mix, const char *policy)
     return "mc/" + std::to_string(cores) + "c/" + mix + "/" + policy;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Per-thread budgets shrink with the core count so every point
+ *  simulates a roughly constant total instruction volume. */
+std::uint64_t
+budgetFor(unsigned cores)
 {
-    const std::vector<unsigned> counts = coreCounts();
+    return std::max<std::uint64_t>(
+        12000, defaultInstructions() * 8 / (3 * cores));
+}
 
-    // Shrink the per-thread budget with the core count so every point
-    // simulates a roughly constant total instruction volume.
-    auto budgetFor = [](unsigned cores) {
-        return std::max<std::uint64_t>(
-            12000, defaultInstructions() * 8 / (3 * cores));
-    };
-
-    // Phase 1: register the full (core count x mix x policy) grid.
-    for (unsigned cores : counts) {
+void
+points(SweepRunner &sw)
+{
+    for (unsigned cores : coreCounts()) {
         const SystemConfig base =
             configFromTopology(topologyFor(cores), baselineConfig());
-        SystemConfig enh = base;
-        TranslationAwareOptions o;
-        o.tempo = true;
-        applyTranslationAware(enh, o);
+        const SystemConfig enh = withProposal(base);
 
         const std::uint64_t instr = budgetFor(cores);
         const std::uint64_t warm = std::max<std::uint64_t>(3000, instr / 4);
         for (const Mix &m : mixesFor(cores)) {
-            registerMixPoint(pointKey(cores, m.name, "base"), base,
-                             m.threads, instr, warm);
-            registerMixPoint(pointKey(cores, m.name, "enh"), enh,
-                             m.threads, instr, warm);
+            sw.addMix(pointKey(cores, m.name, "base"), base, m.threads,
+                      instr, warm);
+            sw.addMix(pointKey(cores, m.name, "enh"), enh, m.threads,
+                      instr, warm);
         }
     }
+}
 
-    // Phase 2: reporting cases. Gains are collected per core count for
-    // the geomean summaries; the map outlives the registered lambdas.
-    static std::map<unsigned, std::vector<double>> gains;
-
+std::vector<ReportRow>
+reduce(SweepRunner &sw)
+{
+    Rows out(sw);
+    const std::vector<unsigned> counts = coreCounts();
+    std::map<unsigned, std::vector<double>> gains;
     for (unsigned cores : counts) {
         for (const Mix &m : mixesFor(cores)) {
-            const std::string name = m.name;
-            registerCase("multicore/" + std::to_string(cores) + "c/" +
-                             name,
-                         [cores, name] {
-                const RunResult &rb =
-                    sweep().result(pointKey(cores, name, "base"));
-                const RunResult &re =
-                    sweep().result(pointKey(cores, name, "enh"));
+            out.group([&] {
+                const RunResult &rb = out.at(pointKey(cores, m.name, "base"));
+                const RunResult &re = out.at(pointKey(cores, m.name, "enh"));
 
                 // Weighted speedup: mean of per-thread IPC ratios.
                 double sum = 0;
@@ -190,28 +183,30 @@ main(int argc, char **argv)
                 // the same comparison; no solo runs needed).
                 const double hs = harmonicSpeedup(baseIpc, re);
 
-                const std::string series =
-                    std::to_string(cores) + "-core weighted speedup";
-                addRow(series, name, (ws - 1) * 100, std::nan(""), "%");
-                addRow(std::to_string(cores) + "-core harmonic speedup",
-                       name, (hs - 1) * 100, std::nan(""), "%");
+                out.add(std::to_string(cores) + "-core weighted speedup",
+                        m.name, (ws - 1) * 100, std::nan(""), "%");
+                out.add(std::to_string(cores) + "-core harmonic speedup",
+                        m.name, (hs - 1) * 100, std::nan(""), "%");
                 gains[cores].push_back(ws);
             });
         }
     }
 
     for (unsigned cores : counts) {
-        registerCase("multicore/" + std::to_string(cores) + "c/summary",
-                     [cores] {
-            // The paper's >4% average is an 8-core result; larger
-            // machines have no reference number.
-            const double paper = cores == 8 ? 4.0 : std::nan("");
-            addRow(std::to_string(cores) + "-core weighted speedup",
-                   "mix geomean", (geomean(gains[cores]) - 1) * 100,
-                   paper, cores == 8 ? "% (paper: >4%)" : "%");
-        });
+        // The paper's >4% average is an 8-core result; larger machines
+        // have no reference number.
+        const double paper = cores == 8 ? 4.0 : std::nan("");
+        out.add(std::to_string(cores) + "-core weighted speedup",
+                "mix geomean", (geomean(gains[cores]) - 1) * 100, paper,
+                cores == 8 ? "% (paper: >4%)" : "%");
     }
-
-    return benchMain(argc, argv,
-                     "§V-A — multiprogrammed mixes at 8/16/32/64 cores");
+    return out.take();
 }
+
+} // namespace
+
+extern const Figure multicoreMixes = {
+    "multicore_mixes",
+    "§V-A — multiprogrammed mixes at 8/16/32/64 cores", points, reduce};
+
+} // namespace tacbench

@@ -312,29 +312,20 @@ SweepRunner::run()
 }
 
 const RunResult &
-SweepRunner::result(const std::string &key)
+SweepRunner::result(const std::string &key) const
 {
     // Aliased names resolve to their primary job's key, under which the
     // (single) outcome is stored.
-    const std::size_t idx = jobIndex(key);
-    const std::string &primary = jobs_[idx].key;
-    {
-        std::lock_guard<std::mutex> lk(mutex_);
-        auto it = results_.find(primary);
-        if (it != results_.end()) {
-            if (!it->second.ok)
-                throw std::runtime_error("sweep point '" + key +
-                                         "' failed: " + it->second.error);
-            return it->second.result;
-        }
-    }
-    execute(jobs_[idx]);
+    const std::string &primary = jobs_[jobIndex(key)].key;
     std::lock_guard<std::mutex> lk(mutex_);
-    SweepOutcome &o = results_.at(primary);
-    if (!o.ok)
+    auto it = results_.find(primary);
+    if (it == results_.end())
         throw std::runtime_error("sweep point '" + key +
-                                 "' failed: " + o.error);
-    return o.result;
+                                 "' has not run; call run() first");
+    if (!it->second.ok)
+        throw std::runtime_error("sweep point '" + key +
+                                 "' failed: " + it->second.error);
+    return it->second.result;
 }
 
 const SweepOutcome *
@@ -438,13 +429,6 @@ SweepRunner::writeJsonFromEnv(const std::string &title,
         std::fprintf(stderr, "tacsim: failed to write JSON report to %s\n",
                      path);
     return ok;
-}
-
-SweepRunner &
-globalSweep()
-{
-    static SweepRunner runner;
-    return runner;
 }
 
 } // namespace tacsim

@@ -13,7 +13,7 @@
  *
  * The runner doubles as the structured-results layer: writeJson() (or
  * writeJsonFromEnv(), keyed on TACSIM_JSON_OUT) emits a machine-readable
- * report with the series/label/measured/paper rows of the bench harness
+ * report with the series/label/measured/paper rows of a figure
  * plus per-run metadata (config key, benchmark, instruction budgets,
  * seed, wall time, errors).
  */
@@ -105,8 +105,8 @@ class SweepCache
  * same simulation point added under two names runs once (the second
  * name aliases the first), and re-registering a name for a different
  * point throws instead of silently returning the first registration's
- * result. result() of a registered-but-unrun key executes it on
- * demand, so lazy serial callers keep working.
+ * result. Results exist only after run(): result() of a point that has
+ * not run throws.
  */
 class SweepRunner
 {
@@ -141,11 +141,11 @@ class SweepRunner
     void run();
 
     /**
-     * Result for @p key; executes the point serially if it has not run
-     * yet. Throws std::runtime_error for unknown keys and for points
-     * whose job failed (re-raising the captured error).
+     * Result for @p key. Throws std::runtime_error for unknown keys, for
+     * points that have not run, and for points whose job failed
+     * (re-raising the captured error).
      */
-    const RunResult &result(const std::string &key);
+    const RunResult &result(const std::string &key) const;
 
     /** Outcome (including captured failures); nullptr if unknown or not
      *  yet run. */
@@ -206,9 +206,6 @@ class SweepRunner
     mutable std::mutex mutex_; ///< guards results_ and Job::done
     std::unordered_map<std::string, SweepOutcome> results_;
 };
-
-/** Process-wide runner shared by the bench harness. */
-SweepRunner &globalSweep();
 
 } // namespace tacsim
 
